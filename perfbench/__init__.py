@@ -1,0 +1,5 @@
+"""Benchmark harness for grat: seeded workloads, output checks and a traced run.
+
+Run it with ``python3 perfbench/run.py --workload <name> --seed <n>
+--seconds <s> --trace <0|1>`` from the repository root; see README.md.
+"""
