@@ -100,32 +100,25 @@ def neighbor_mask(edge_matrix: np.ndarray, neighbor_only: bool) -> np.ndarray:
     return np.ones(np.asarray(edge_matrix).shape, dtype=bool)
 
 
-def film_attention(q: Tensor, k: Tensor, v: Tensor, gamma: Tensor, beta: Tensor,
-                   mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+def film_attention(q: Tensor, k: Tensor, v: Tensor, gamma: Tensor | None = None,
+                   beta: Tensor | None = None, mask: np.ndarray | None = None
+                   ) -> tuple[Tensor, Tensor]:
     """Edge-modulated scaled dot-product attention.
 
     Modulation is applied to the raw QK^T logits before the 1/sqrt(d_k)
-    scaling. Masked logits act as -inf; a fully-masked query row yields a
-    zero output row (detectable via ~mask.any(axis=-1)). Returns
-    (output, weights) with the post-softmax weights exposed for inspection.
+    scaling; with gamma and beta both None it is skipped, which is plain
+    scaled dot-product attention (the decoder's cross-attention). Masked
+    logits act as -inf; a fully-masked query row yields a zero output row
+    (detectable via ~mask.any(axis=-1)). Returns (output, weights) with the
+    post-softmax weights exposed for inspection.
     """
     if q.shape[1] != k.shape[1]:
         raise DimensionError(f"query width {q.shape} != key width {k.shape}")
     if k.shape[0] != v.shape[0]:
         raise DimensionError(f"key count {k.shape} != value count {v.shape}")
     logits = ad.matmul(q, ad.transpose(k))
-    modulated = ad.add(ad.mul(gamma, logits), beta)
-    scaled = ad.mul(modulated, 1.0 / math.sqrt(q.shape[1]))
-    weights = ad.softmax_rows(scaled, mask=mask)
-    return ad.matmul(weights, v), weights
-
-
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
-                         mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """Plain scaled dot-product attention (used for cross-attention)."""
-    if q.shape[1] != k.shape[1]:
-        raise DimensionError(f"query width {q.shape} != key width {k.shape}")
-    logits = ad.matmul(q, ad.transpose(k))
+    if gamma is not None:
+        logits = ad.add(ad.mul(gamma, logits), beta)
     scaled = ad.mul(logits, 1.0 / math.sqrt(q.shape[1]))
     weights = ad.softmax_rows(scaled, mask=mask)
     return ad.matmul(weights, v), weights
@@ -151,12 +144,18 @@ def init_encoder_params(cfg: EncoderConfig, n_labels: int, n_edge_types: int,
 
 
 def multi_head_film_attention(cfg, params: dict[str, Tensor], base: str, x: Tensor,
-                              gamma: Tensor, beta: Tensor, mask: np.ndarray | None
+                              gamma: Tensor | None = None, beta: Tensor | None = None,
+                              mask: np.ndarray | None = None, memory: Tensor | None = None
                               ) -> tuple[Tensor, list[Tensor]]:
-    """All heads of one layer; the (gamma, beta) pair is shared across heads."""
+    """All heads of one layer; the (gamma, beta) pair is shared across heads.
+
+    Queries come from x; keys and values from memory when given (attention
+    onto the encoder output), otherwise from x itself.
+    """
+    source = x if memory is None else memory
     q = affine(params, f"{base}.q", x)
-    k = affine(params, f"{base}.k", x)
-    v = affine(params, f"{base}.v", x)
+    k = affine(params, f"{base}.k", source)
+    v = affine(params, f"{base}.v", source)
     dk = cfg.head_width
     outs, weights = [], []
     for h in range(cfg.heads):

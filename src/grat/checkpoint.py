@@ -17,6 +17,7 @@ floats are little-endian float64.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -58,12 +59,22 @@ def save_checkpoint(path, params: dict[str, Tensor], config: dict,
         blob.extend(raw)
     manifest = json.dumps({"tensors": manifest_tensors, "config": config,
                            "optimizer": opt_entry}).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(manifest)))
-        fh.write(manifest)
-        fh.write(bytes(blob))
+    # written beside the target, then renamed over it: a failed write leaves
+    # the previous checkpoint whole. There is no fsync (it would cost more
+    # than the write), so a power loss can still drop the newest checkpoint.
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<Q", len(manifest)))
+            fh.write(manifest)
+            fh.write(bytes(blob))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -38,7 +38,7 @@ from .graph import (Graph, NO_BOND, SELF, VIRTUAL, RESERVED_EDGE_NAMES,
                     RESERVED_LABEL_NAMES, TOK_EOG, TOK_G)
 from .nn import affine, init_affine, init_embedding, init_layer_norm, positional_encoding
 from .attention import (init_conditioner, edge_gamma_beta, multi_head_film_attention,
-                        scaled_dot_attention, feed_forward)
+                        feed_forward)
 
 N_RESERVED_EDGES = len(RESERVED_EDGE_NAMES)
 N_RESERVED_LABELS = len(RESERVED_LABEL_NAMES)
@@ -142,16 +142,11 @@ def build_decoder_batch(target: Graph) -> DecoderBatch:
         edge_matrix[np.ix_(node_pos, node_pos)] = target.edges
     np.fill_diagonal(edge_matrix, SELF)
 
-    is_g = np.arange(length) % 2 == 0
-    mask = np.zeros((length, length), dtype=bool)
-    for q in range(length):
-        for c in range(q + 1):
-            if c == q:
-                mask[q, c] = True
-            elif is_g[q]:
-                mask[q, c] = not is_g[c]  # earlier nodes yes, earlier <G> no
-            else:
-                mask[q, c] = (not is_g[c]) and edge_matrix[q, c] != NO_BOND
+    # strictly earlier positions, never across a NO_BOND pair (<G> rows carry
+    # VIRTUAL, so they see every earlier node) and never a <G> column; plus self
+    mask = (edge_matrix != NO_BOND) & np.tri(length, k=-1, dtype=bool)
+    mask[:, ::2] = False
+    np.fill_diagonal(mask, True)
 
     node_targets = np.concatenate([np.asarray(target.labels, dtype=np.int64),
                                    np.array([TOK_EOG], dtype=np.int64)])
@@ -195,21 +190,6 @@ def init_decoder_params(cfg: DecoderConfig, n_labels: int, n_edge_types: int,
     return params
 
 
-def _multi_head_cross_attention(cfg: DecoderConfig, params, base: str,
-                                x: Tensor, memory: Tensor) -> Tensor:
-    """Unmodulated attention from decoder positions onto the encoder output."""
-    q = affine(params, f"{base}.q", x)
-    k = affine(params, f"{base}.k", memory)
-    v = affine(params, f"{base}.v", memory)
-    dk = cfg.head_width
-    outs = []
-    for h in range(cfg.heads):
-        cols = (slice(None), slice(h * dk, (h + 1) * dk))
-        out_h, _ = scaled_dot_attention(q[cols], k[cols], v[cols])
-        outs.append(out_h)
-    return affine(params, f"{base}.o", ad.concat(outs, axis=1))
-
-
 def decode_forward(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor,
                    batch: DecoderBatch, prefix: str = "dec",
                    input_offsets: np.ndarray | None = None
@@ -238,7 +218,8 @@ def decode_forward(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Ten
         attn, _ = multi_head_film_attention(cfg, params, f"{base}.self", x,
                                             gammas[i], betas[i], batch.mask)
         x = ad.layer_norm(ad.add(x, attn), params[f"{base}.ln1.g"], params[f"{base}.ln1.b"])
-        cross = _multi_head_cross_attention(cfg, params, f"{base}.cross", x, encoder_h)
+        cross, _ = multi_head_film_attention(cfg, params, f"{base}.cross", x,
+                                             memory=encoder_h)
         x = ad.layer_norm(ad.add(x, cross), params[f"{base}.ln2.g"], params[f"{base}.ln2.b"])
         ff = feed_forward(params, base, x)
         x = ad.layer_norm(ad.add(x, ff), params[f"{base}.ln3.g"], params[f"{base}.ln3.b"])
@@ -323,6 +304,16 @@ def _step_log_probs(cfg, params, encoder_h, labels, edges, prefix):
     return label_lp, edge_lp
 
 
+def _check_max_nodes(cfg: DecoderConfig, max_nodes: int):
+    """A max_nodes-node prefix decodes 2*max_nodes+1 positions; reject a cap
+    the decoder context cannot hold before any decoding starts."""
+    if max_nodes < 1:
+        raise ContractError("max_nodes must be >= 1")
+    if 2 * max_nodes + 1 > cfg.max_context:
+        raise CapacityError(f"max_nodes {max_nodes} needs {2 * max_nodes + 1} decoder "
+                            f"positions, context limit is {cfg.max_context}")
+
+
 def generate_greedy(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor,
                     max_nodes: int, prefix: str = "dec") -> GeneratedGraph:
     """Argmax decoding: stop on <EOG>, one argmax edge class per earlier node.
@@ -331,8 +322,7 @@ def generate_greedy(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Te
     always passes validation. Prefixes are re-decoded each step (no caching),
     which is exactly the sequential view the masking matrix parallelizes.
     """
-    if max_nodes < 1:
-        raise ContractError("max_nodes must be >= 1")
+    _check_max_nodes(cfg, max_nodes)
     n_labels = params[f"{prefix}.embed"].shape[0]
     allowed = _allowed_labels(n_labels)
     labels: tuple[int, ...] = ()
@@ -390,8 +380,7 @@ def generate_beam(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tens
     """
     if width < 1:
         raise ContractError("beam width must be >= 1")
-    if max_nodes < 1:
-        raise ContractError("max_nodes must be >= 1")
+    _check_max_nodes(cfg, max_nodes)
     n_labels = params[f"{prefix}.embed"].shape[0]
     allowed = _allowed_labels(n_labels)
     real_labels = [i for i in range(n_labels) if allowed[i] and i != TOK_EOG]

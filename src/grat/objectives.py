@@ -13,12 +13,12 @@ from .autodiff import Tensor
 from .errors import ContractError
 from .decoder import edge_class_of_type
 from .graph import (Graph, MASK_EDGE, NO_BOND, TOK_CLS, TOK_MASK, VIRTUAL,
-                    RESERVED_LABEL_NAMES, prepend_token)
+                    RESERVED_EDGE_NAMES, RESERVED_LABEL_NAMES, prepend_token)
 from .attention import EncoderConfig, encode, readout_cls
 from .nn import affine, init_affine
 
 N_RESERVED_LABELS = len(RESERVED_LABEL_NAMES)
-N_RESERVED_EDGES = 5
+N_RESERVED_EDGES = len(RESERVED_EDGE_NAMES)
 
 
 def cross_entropy_mean(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -35,14 +35,6 @@ def cross_entropy_mean(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 def l1_mean(pred: Tensor, target: np.ndarray) -> Tensor:
     return ad.mean(ad.absolute(ad.sub(pred, Tensor(target))))
-
-
-def regression_loss(pred: Mapping[str, float], target: Mapping[str, float]) -> float:
-    """Mean absolute error over the tasks present in both maps."""
-    common = sorted(set(pred) & set(target))
-    if not common:
-        raise ContractError("regression_loss: prediction and target share no tasks")
-    return float(np.mean([abs(pred[t] - target[t]) for t in common]))
 
 
 def std_mae(per_task_mae: Mapping[str, float], per_task_std: Mapping[str, float]) -> float:

@@ -5,10 +5,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -263,14 +262,6 @@ class PretrainModel:
 # evaluation
 
 
-def _eval_workers() -> int:
-    raw = os.environ.get("GRAT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ContractError(f"GRAT_THREADS must be an integer, got {raw!r}") from None
-
-
 def evaluate_property(model: PropertyModel, graphs: list[Graph]) -> MetricReport:
     """Per-task MAE in raw units plus the stdMAE/logMAE aggregates."""
     if not graphs:
@@ -292,27 +283,14 @@ def evaluate_property(model: PropertyModel, graphs: list[Graph]) -> MetricReport
 
 def evaluate_translation(model: TranslationModel, pairs, max_nodes: int,
                          beam_width: int = 1) -> MetricReport:
-    """Exact-match rate of generated graphs against targets.
-
-    Fans out across threads when GRAT_THREADS is set (params are immutable
-    during evaluation).
-    """
+    """Exact-match rate of generated graphs against targets."""
     if not pairs:
         raise ContractError("evaluate_translation on an empty split")
-
-    def decode_one(pair):
-        srcs, tgt = pair
+    matches = truncated = 0
+    for srcs, tgt in pairs:
         best = model.generate(srcs, beam_width, max_nodes)[0]
-        return exact_match(best.graph, tgt), best.truncated
-
-    workers = _eval_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(decode_one, pairs))
-    else:
-        outcomes = [decode_one(p) for p in pairs]
-    matches = sum(1 for ok, _ in outcomes if ok)
-    truncated = sum(1 for _, t in outcomes if t)
+        matches += exact_match(best.graph, tgt)
+        truncated += best.truncated
     return MetricReport(exact_match_rate=matches / len(pairs),
                         counts={"pairs": len(pairs), "matches": matches,
                                 "truncated": truncated})
@@ -336,17 +314,35 @@ def _restore(params, snap):
         p.data = snap[name].copy()
 
 
-def _train_loop(cfg: RunConfig, params: dict[str, Tensor], n_train: int,
-                batch_loss, val_value, em_value=None) -> tuple[Adam, int]:
-    """Shared epoch scaffold: shuffled mini-batches, Adam, optional warmup,
-    early stopping on the validation value, optional exact-match stop.
+@dataclass
+class _Task:
+    """What the training loop needs from one task.
 
-    batch_loss(indices, epoch) -> Tensor; val_value() -> float (lower is
-    better); em_value() -> float in [0, 1], checked against cfg.em_stop.
+    loss(j, epoch) is the loss on example j of the dataset; epoch is None
+    when validating. report() scores the held-out split once training ends;
+    em(), when given, is the exact-match rate checked against cfg.em_stop.
     """
+
+    model: object
+    split: dict[str, list[int]]
+    loss: Callable[[int, int | None], Tensor]
+    report: Callable[[], MetricReport]
+    em: Callable[[], float] | None = None
+
+
+def _train_loop(cfg: RunConfig, task: _Task) -> tuple[Adam, int]:
+    """Shared epoch scaffold: shuffled mini-batches, Adam, optional warmup,
+    early stopping on the mean validation loss, optional exact-match stop.
+
+    Validation falls back to the first tenth of the training split when the
+    val split is empty.
+    """
+    params = task.model.params
+    train_idx = task.split["train"]
+    val_idx = task.split["val"] or train_idx[: max(1, len(train_idx) // 10)]
     adam = Adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
-    track_em = cfg.em_stop is not None and em_value is not None
+    track_em = cfg.em_stop is not None and task.em is not None
     best = float("inf")
     best_em = -1.0
     best_snap = _snapshot(params)
@@ -354,10 +350,14 @@ def _train_loop(cfg: RunConfig, params: dict[str, Tensor], n_train: int,
     steps = 0
     stop = False
     for epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(n_train)
+        order = shuffle_rng.permutation(len(train_idx))
         epoch_losses = []
         for batch in _chunks(order, cfg.batch_size):
-            loss = batch_loss(list(batch), epoch)
+            total = None
+            for i in batch:
+                example = task.loss(train_idx[i], epoch)
+                total = example if total is None else ad.add(total, example)
+            loss = ad.mul(total, 1.0 / len(batch))
             if not np.isfinite(loss.data):
                 raise NumericError(f"non-finite training loss at step {steps}")
             ad.backward(loss)
@@ -371,7 +371,8 @@ def _train_loop(cfg: RunConfig, params: dict[str, Tensor], n_train: int,
                 stop = True
                 break
         if epoch % cfg.eval_every == 0 or stop:
-            val = val_value()
+            with ad.no_grad():
+                val = float(np.mean([task.loss(j, None).item() for j in val_idx]))
             log.info("epoch %d: train loss %.5f, val %.5f, steps %d",
                      epoch, float(np.mean(epoch_losses)), val, steps)
             if val < best - 1e-12:
@@ -385,7 +386,7 @@ def _train_loop(cfg: RunConfig, params: dict[str, Tensor], n_train: int,
                 # snapshot selection follows exact-match, not the loss: on
                 # teacher-forced graph tasks the val loss can worsen while
                 # exact-match still climbs
-                em = em_value()
+                em = task.em()
                 log.info("epoch %d: train exact-match %.3f", epoch, em)
                 if em > best_em:
                     best_em = em
@@ -446,107 +447,72 @@ def train(cfg: RunConfig):
     Returns (model, MetricReport). On a non-finite loss or gradient the
     last-good parameters are checkpointed before the error propagates.
     """
-    if cfg.task == "translate":
-        builder = _train_translation
-    elif cfg.task == "property":
-        builder = _train_property
-    else:
-        builder = _train_pretrain
-    model, run = builder(cfg)
+    make_task = {"translate": _translation_task, "property": _property_task,
+                 "pretrain": _pretrain_task}[cfg.task]
+    task = make_task(cfg)
+    model = task.model
+    if cfg.init_checkpoint:
+        _transfer_params(model.params, cfg.init_checkpoint)
     try:
-        adam, steps = run()
+        adam, steps = _train_loop(cfg, task)
     except NumericError:
         save_checkpoint(cfg.out_checkpoint, model.params, _config_snapshot(cfg, model))
         log.error("aborted on non-finite numbers; last-good checkpoint at %s",
                   cfg.out_checkpoint)
         raise
     save_checkpoint(cfg.out_checkpoint, model.params, _config_snapshot(cfg, model), adam)
-    report = _final_report(cfg, model, steps)
+    report = task.report()
+    report.counts.update(steps=steps, train=len(task.split["train"]),
+                         val=len(task.split["val"]), test=len(task.split["test"]))
     if cfg.metrics_out:
         Path(cfg.metrics_out).write_text(json.dumps(report.to_dict(), indent=2),
                                          encoding="utf-8")
     return model, report
 
 
-def _train_translation(cfg: RunConfig):
+def _translation_task(cfg: RunConfig) -> _Task:
     data = load_dataset(cfg.data)
     if not isinstance(data, TranslationDataset):
         raise DataError("translate task needs src/tgt records")
     split = split_indices(len(data.pairs), cfg.seed)
     model = TranslationModel.build(cfg.encoder_config(), cfg.decoder_config(),
                                    data.label_vocab, data.edge_vocab, cfg.seed)
-    if cfg.init_checkpoint:
-        _transfer_params(model.params, cfg.init_checkpoint)
     prepared = [(model.source_input(srcs), build_decoder_batch(tgt))
                 for srcs, tgt in data.pairs]
-    train_idx = split["train"]
-    val_idx = split["val"] or train_idx[: max(1, len(train_idx) // 10)]
-    model._split = split  # exposed for reporting/eval
-    model._pairs = data.pairs
+    # exact match scores held-out pairs, so selection and stopping follow
+    # held-out behaviour, not training-set recall
+    held_out = split["val"] or split["train"][:48]
 
-    def batch_loss(indices, _epoch):
-        total = None
-        for i in indices:
-            enc_input, batch = prepared[train_idx[i]]
-            loss = model.loss_on(enc_input, batch)
-            total = loss if total is None else ad.add(total, loss)
-        return ad.mul(total, 1.0 / len(indices))
+    def scored(idx):
+        return evaluate_translation(model, [data.pairs[i] for i in idx], cfg.max_nodes)
 
-    def val_value():
-        with ad.no_grad():
-            return float(np.mean([model.loss_on(*prepared[i]).item() for i in val_idx]))
-
-    def em_value():
-        # exact match on the validation split: selection and stopping follow
-        # held-out behavior, not training-set recall
-        idx = val_idx[:48] if split["val"] else train_idx[:48]
-        subset = [data.pairs[i] for i in idx]
-        return evaluate_translation(model, subset, cfg.max_nodes).exact_match_rate
-
-    return model, lambda: _train_loop(cfg, model.params, len(train_idx),
-                                      batch_loss, val_value, em_value)
+    return _Task(model, split,
+                 loss=lambda j, _epoch: model.loss_on(*prepared[j]),
+                 report=lambda: scored(held_out),
+                 em=lambda: scored(held_out[:48]).exact_match_rate)
 
 
-def _train_property(cfg: RunConfig):
+def _property_task(cfg: RunConfig) -> _Task:
     data = load_dataset(cfg.data)
     if not isinstance(data, GraphDataset):
         raise DataError("property task needs plain graph records with props")
     split = split_indices(len(data.graphs), cfg.seed)
-    train_idx = split["train"]
     tasks = _select_tasks(cfg, data.graphs)
     if not tasks:
         raise DataError("property task: no graph-level properties in dataset")
-    train_graphs = [data.graphs[i] for i in train_idx]
-    mu, sigma = _task_stats(train_graphs, tasks)
+    mu, sigma = _task_stats([data.graphs[i] for i in split["train"]], tasks)
     model = PropertyModel.build(cfg.encoder_config(), data.label_vocab, data.edge_vocab,
                                 tasks, mu, sigma, cfg.seed, head_hidden=cfg.head_hidden)
-    if cfg.init_checkpoint:
-        _transfer_params(model.params, cfg.init_checkpoint)
     inputs = [prepend_token(g, TOK_CLS, VIRTUAL) for g in data.graphs]
     targets = np.array([[(g.properties[t] - m) / s
                          for t, m, s in zip(tasks, mu, sigma)] for g in data.graphs])
-    val_idx = split["val"] or train_idx[: max(1, len(train_idx) // 10)]
-    model._split = split
-    model._graphs = data.graphs
-
-    def batch_loss(indices, _epoch):
-        total = None
-        for i in indices:
-            j = train_idx[i]
-            loss = model.loss_on(inputs[j], targets[j])
-            total = loss if total is None else ad.add(total, loss)
-        return ad.mul(total, 1.0 / len(indices))
-
-    def val_value():
-        with ad.no_grad():
-            return float(np.mean([model.loss_on(inputs[i], targets[i]).item()
-                                  for i in val_idx]))
-
-    return model, lambda: _train_loop(cfg, model.params, len(train_idx),
-                                      batch_loss, val_value)
+    held_out = split["val"] or split["train"]
+    return _Task(model, split,
+                 loss=lambda j, _epoch: model.loss_on(inputs[j], targets[j]),
+                 report=lambda: evaluate_property(model, [data.graphs[i] for i in held_out]))
 
 
-def _train_pretrain(cfg: RunConfig):
+def _pretrain_task(cfg: RunConfig) -> _Task:
     data = load_dataset(cfg.data)
     if isinstance(data, TranslationDataset):
         # pretraining on a translation corpus recovers structure on its
@@ -557,60 +523,22 @@ def _train_pretrain(cfg: RunConfig):
     if not isinstance(data, GraphDataset):
         raise DataError("pretrain task needs graph or translation records")
     split = split_indices(len(data.graphs), cfg.seed)
-    train_idx = split["train"]
     tasks: list[str] = []
     mu = np.zeros(0)
     sigma = np.ones(0)
     if cfg.pretrain_graph_level:
         tasks = _select_tasks(cfg, data.graphs)
         if tasks:
-            mu, sigma = _task_stats([data.graphs[i] for i in train_idx], tasks)
+            mu, sigma = _task_stats([data.graphs[i] for i in split["train"]], tasks)
     model = PretrainModel.build(cfg.encoder_config(), data.label_vocab, data.edge_vocab,
                                 tasks, mu, sigma, cfg.seed, head_hidden=cfg.head_hidden)
-    if cfg.init_checkpoint:
-        _transfer_params(model.params, cfg.init_checkpoint)
-    val_idx = split["val"] or train_idx[: max(1, len(train_idx) // 10)]
-    model._split = split
-    model._graphs = data.graphs
 
-    def batch_loss(indices, epoch):
-        total = None
-        for i in indices:
-            j = train_idx[i]
-            rng = np.random.default_rng([cfg.seed, 2, epoch, j])
-            loss = model.loss_on(data.graphs[j], rng, cfg.mask_rate)
-            total = loss if total is None else ad.add(total, loss)
-        return ad.mul(total, 1.0 / len(indices))
+    def loss(j, epoch):
+        # training masks are redrawn every epoch; validation masks are fixed
+        key = [cfg.seed, 3, j] if epoch is None else [cfg.seed, 2, epoch, j]
+        return model.loss_on(data.graphs[j], np.random.default_rng(key), cfg.mask_rate)
 
-    def val_value():
-        with ad.no_grad():
-            vals = []
-            for i in val_idx:
-                rng = np.random.default_rng([cfg.seed, 3, i])
-                vals.append(model.loss_on(data.graphs[i], rng, cfg.mask_rate).item())
-            return float(np.mean(vals))
-
-    return model, lambda: _train_loop(cfg, model.params, len(train_idx),
-                                      batch_loss, val_value)
-
-
-def _final_report(cfg: RunConfig, model, steps: int) -> MetricReport:
-    split = model._split
-    val_idx = split["val"]
-    if isinstance(model, TranslationModel):
-        idx = val_idx or split["train"][:48]
-        report = evaluate_translation(model, [model._pairs[i] for i in idx],
-                                      cfg.max_nodes)
-    elif isinstance(model, PropertyModel):
-        idx = val_idx or split["train"]
-        report = evaluate_property(model, [model._graphs[i] for i in idx])
-    else:
-        report = MetricReport()
-    report.counts["steps"] = steps
-    report.counts["train"] = len(split["train"])
-    report.counts["val"] = len(val_idx)
-    report.counts["test"] = len(split["test"])
-    return report
+    return _Task(model, split, loss=loss, report=MetricReport)
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +552,13 @@ def model_from_checkpoint(path):
     task = cfg.get("task")
     lv = NodeLabelVocab(cfg.get("labels", []))
     ev = EdgeTypeVocab(cfg.get("edges", []))
-    enc_cfg = EncoderConfig(**cfg.get("encoder", {}))
+    try:
+        enc_cfg = EncoderConfig(**cfg.get("encoder", {}))
+        dec_cfg = DecoderConfig(**cfg.get("decoder", {})) if task == "translate" else None
+    except (TypeError, ContractError) as exc:
+        raise CheckpointError(f"checkpoint config snapshot does not match this "
+                              f"version of grat: {exc}") from None
     if task == "translate":
-        dec_cfg = DecoderConfig(**cfg.get("decoder", {}))
         return TranslationModel(enc_cfg, dec_cfg, lv, ev, ckpt.params), ckpt
     tasks = cfg.get("tasks", [])
     mu = np.array(cfg.get("mu", []))

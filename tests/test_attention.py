@@ -94,7 +94,7 @@ class TestFilmAttention:
             ones = Tensor(np.ones((nq, nk)))
             zeros = Tensor(np.zeros((nq, nk)))
             filmed, fw = att.film_attention(q, k, v, ones, zeros, mask)
-            plain, pw = att.scaled_dot_attention(q, k, v, mask)
+            plain, pw = att.film_attention(q, k, v, mask=mask)
             assert np.array_equal(filmed.data, plain.data)
             assert np.array_equal(fw.data, pw.data)
 

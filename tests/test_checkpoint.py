@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from grat import checkpoint
 from grat.autodiff import Adam, Tensor
 from grat.checkpoint import MAGIC, load_checkpoint, restore_optimizer, save_checkpoint
 from grat.errors import CheckpointError
@@ -74,6 +75,38 @@ def test_manifest_lists_every_parameter_exactly_once(tmp_path):
     manifest = json.loads(raw[20:20 + manifest_len])
     stored = [n[len("param/"):] for n in manifest["tensors"] if n.startswith("param/")]
     assert sorted(stored) == sorted(params)
+
+
+def test_failed_write_leaves_previous_checkpoint_whole(tmp_path, monkeypatch):
+    rng = np.random.default_rng(4)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, random_params(rng), {"task": "property"})
+    before = path.read_bytes()
+
+    class DiskFullAfterHeader:
+        """File whose writes fail once the first one has landed."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            if self.fh.tell():
+                raise OSError(28, "No space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(checkpoint, "open",
+                        lambda *args, **kw: DiskFullAfterHeader(open(*args, **kw)),
+                        raising=False)
+    with pytest.raises(OSError):
+        save_checkpoint(path, random_params(rng), {"task": "property"})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 
 class TestCorruption:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from grat import cli
+from grat.checkpoint import load_checkpoint, save_checkpoint
 from grat.data import write_jsonl
 
 
@@ -58,6 +59,16 @@ class TestTrainEval:
         write_jsonl(data, [{"nodes": ["A"], "edges": []}])
         assert run(["eval", "--ckpt", tmp_path / "no.ckpt", "--data", data]) == 2
 
+    def test_eval_mismatched_snapshot_is_checkpoint_error(self, copy_setup, capsys):
+        _, data, ckpt = copy_setup
+        loaded = load_checkpoint(ckpt)
+        loaded.config["encoder"]["attention_kind"] = "linear"
+        save_checkpoint(ckpt, loaded.params, loaded.config)
+        capsys.readouterr()
+        assert run(["eval", "--ckpt", ckpt, "--data", data]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("grat: ") and "Traceback" not in err
+
     def test_train_missing_config_is_data_error(self, tmp_path):
         assert run(["train", "--config", tmp_path / "nope.json"]) == 2
 
@@ -90,6 +101,11 @@ class TestGenerate:
         scores = [e["score"] for e in first]
         assert scores == sorted(scores, reverse=True)
 
+    def test_generate_max_nodes_beyond_context_is_capacity_error(self, copy_setup):
+        _, data, ckpt = copy_setup
+        assert run(["generate", "--ckpt", ckpt, "--src", data, "--beam", 1,
+                    "--max-nodes", 100]) == 2
+
     def test_generate_smiles_format(self, tmp_path):
         # molecule-labeled copy data; model rigged to emit one C then stop
         data = tmp_path / "mol.jsonl"
@@ -101,7 +117,6 @@ class TestGenerate:
             "task": "translate", "data": str(data), "seed": 0, "epochs": 0,
             "out_checkpoint": str(ckpt)}))
         assert run(["train", "--config", config]) == 0
-        from grat.checkpoint import load_checkpoint, save_checkpoint
         loaded = load_checkpoint(ckpt)
         c_id = 8 + sorted(["C", "N"]).index("C")
         loaded.params["dec.fl.w"].data[:] = 0.0

@@ -1,6 +1,8 @@
 """Two-path decoder: batch layout against the documented matrix patterns,
 parallel/sequential equivalence, causality, and greedy/beam generation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from grat import decoder as dec
 from grat import graph as gm
 from grat.autodiff import Tensor
 from grat.decoder import DecoderConfig, build_decoder_batch, decode_forward
-from grat.errors import ContractError
+from grat.errors import CapacityError, ContractError
 from grat.graph import Graph, NO_BOND, SELF, VIRTUAL, TOK_EOG, TOK_G
 
 CFG = DecoderConfig(layers=2, heads=2, width=8, ff_width=16, cond_hidden=4,
@@ -37,6 +39,27 @@ def random_target(rng, k=None, n_labels=3, n_edge_types=2, density=0.4):
 
 def random_memory(rng, n=5, width=CFG.width):
     return Tensor(rng.normal(size=(n, width)))
+
+
+def assert_mask_layout(batch, target):
+    """Fig. 1 masking rules, cell by cell: every position sees itself; no
+    position sees the future or another <G> column; a <G> query sees every
+    earlier node; a node query sees an earlier node unless their target
+    edge is NO_BOND."""
+    length = 2 * target.n + 1
+    assert batch.mask.shape == (length, length)
+    assert batch.mask.diagonal().all()
+    for q in range(length):
+        for c in range(length):
+            if c == q:
+                continue
+            if c > q or c % 2 == 0:
+                expect = False
+            elif q % 2 == 0:
+                expect = True
+            else:
+                expect = target.edges[q // 2, c // 2] != NO_BOND
+            assert batch.mask[q, c] == expect, (q, c)
 
 
 class TestEdgeClasses:
@@ -84,31 +107,23 @@ class TestBatchLayout:
             for np_ in n_pos:
                 if np_ != gp:
                     assert batch.edge_matrix[gp, np_] == VIRTUAL
-        # masking matrix: future blocked; previous <G> columns blocked for
-        # every query; node queries never see <G> columns; node-node pairs
-        # blocked when NO_BOND
-        for q in range(L):
-            for c in range(L):
-                if c > q:
-                    assert not batch.mask[q, c]
-        for qi, q in enumerate(g_pos):
-            for c in g_pos:
-                if c != q:
-                    assert not batch.mask[q, c]
-            for nj, c in enumerate(n_pos):
-                assert batch.mask[q, c] == (c < q)
-        for ni, q in enumerate(n_pos):
-            for c in g_pos:
-                assert not batch.mask[q, c]
-            for nj, c in enumerate(n_pos):
-                if c < q:
-                    assert batch.mask[q, c] == (target.edges[ni, nj] != NO_BOND)
+        assert_mask_layout(batch, target)
         # targets: labels then <EOG>; edge classes follow the target matrix
         assert list(batch.node_targets) == list(target.labels) + [TOK_EOG]
         assert batch.n_target_pairs == 6
         expect = [dec.edge_class_of_type(int(target.edges[i, j]))
                   for i in range(1, 4) for j in range(i)]
         assert list(batch.pair_target_classes) == expect
+
+    def test_mask_layout_on_random_targets(self):
+        rng = np.random.default_rng(3)
+        no_bond_pairs = 0
+        for k in range(9):
+            for _ in range(3):
+                target = random_target(rng, k=k)
+                no_bond_pairs += int((target.edges == NO_BOND).sum()) // 2
+                assert_mask_layout(build_decoder_batch(target), target)
+        assert no_bond_pairs > 0
 
     def test_g_row_unmasked_count_is_step_index(self):
         rng = np.random.default_rng(1)
@@ -271,6 +286,20 @@ class TestGeneration:
                                     width=4, max_nodes=4)
         scores = [r.score for r in results]
         assert scores == sorted(scores, reverse=True)
+
+    def test_max_nodes_beyond_context_rejected_before_decoding(self, monkeypatch):
+        cfg = dataclasses.replace(CFG, max_context=9)  # 2*4+1: holds 4 nodes
+        params = make_params(seed=22, cfg=cfg)
+        memory = random_memory(np.random.default_rng(23))
+        dec.generate_greedy(cfg, params, memory, max_nodes=4)
+        dec.generate_beam(cfg, params, memory, width=2, max_nodes=4)
+        calls = []
+        monkeypatch.setattr(dec, "decode_forward", lambda *args, **kw: calls.append(args))
+        with pytest.raises(CapacityError):
+            dec.generate_greedy(cfg, params, memory, max_nodes=5)
+        with pytest.raises(CapacityError):
+            dec.generate_beam(cfg, params, memory, width=2, max_nodes=5)
+        assert calls == []
 
     def test_beam_width_zero_rejected(self):
         params = make_params(seed=20)

@@ -25,28 +25,6 @@ def chain_graph(k=4, props=None):
     return gm.graph_from_edge_list(labels, edge_list, properties=props)
 
 
-class TestRegressionLoss:
-    def test_zero_when_equal(self):
-        assert obj.regression_loss({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 2.0}) == 0.0
-
-    def test_off_by_one_everywhere(self):
-        pred = {"a": 2.0, "b": 3.0, "c": 4.0}
-        target = {"a": 1.0, "b": 2.0, "c": 3.0}
-        assert obj.regression_loss(pred, target) == 1.0
-
-    def test_matches_direct_formula(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=6)
-        b = rng.normal(size=6)
-        pred = {f"t{i}": float(a[i]) for i in range(6)}
-        target = {f"t{i}": float(b[i]) for i in range(6)}
-        assert abs(obj.regression_loss(pred, target) - np.mean(np.abs(a - b))) < 1e-12
-
-    def test_disjoint_keys_rejected(self):
-        with pytest.raises(ContractError):
-            obj.regression_loss({"a": 1.0}, {"b": 1.0})
-
-
 class TestAggregateMetrics:
     def test_std_mae_examples(self):
         assert abs(obj.std_mae({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 2.0}) - 1.0) < 1e-12

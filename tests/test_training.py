@@ -146,23 +146,6 @@ class TestEvaluation:
         for g in data.graphs[:5]:
             assert model.predict(g) == loaded.predict(g)
 
-    def test_translation_eval_thread_workers_match_serial(self, copy_data, tmp_path,
-                                                          monkeypatch):
-        cfg = quick_cfg("translate", copy_data, tmp_path, max_steps=4)
-        model, _ = train(cfg)
-        data = load_dataset(copy_data, vocabs=(model.label_vocab, model.edge_vocab))
-        pairs = data.pairs[:8]
-        monkeypatch.delenv("GRAT_THREADS", raising=False)
-        serial = tr.evaluate_translation(model, pairs, max_nodes=8)
-        monkeypatch.setenv("GRAT_THREADS", "2")
-        threaded = tr.evaluate_translation(model, pairs, max_nodes=8)
-        assert serial.to_dict() == threaded.to_dict()
-
-    def test_bad_thread_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("GRAT_THREADS", "lots")
-        with pytest.raises(ContractError):
-            tr._eval_workers()
-
     def test_property_eval_counts(self, prop_data, tmp_path):
         cfg = quick_cfg("property", prop_data, tmp_path, max_steps=3)
         model, _ = train(cfg)
