@@ -47,14 +47,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
@@ -63,34 +55,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; all arithmetic funnels through the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, Tensor):
-            raise ContractError("tensor/tensor division is not supported; multiply by a reciprocal")
-        return mul(self, 1.0 / float(scalar))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, idx):
         return take(self, idx)
@@ -461,17 +425,3 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * np.square(g)
             p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-
-    def state_tensors(self) -> dict[str, np.ndarray]:
-        """Moment buffers keyed for checkpointing."""
-        out = {}
-        for name in self.params:
-            out[f"m/{name}"] = self.m[name]
-            out[f"v/{name}"] = self.v[name]
-        return out
-
-    def load_state(self, t: int, tensors: dict[str, np.ndarray]):
-        self.t = int(t)
-        for name in self.params:
-            self.m[name] = np.array(tensors[f"m/{name}"], dtype=np.float64)
-            self.v[name] = np.array(tensors[f"v/{name}"], dtype=np.float64)

@@ -30,8 +30,8 @@ from .errors import (CapacityError, CheckpointError, ContractError, DataError,
                      GratError, NumericError)
 from .graph import graph_from_record, graph_to_record
 from .smiles import write_smiles_lite
-from .training import (PropertyModel, TranslationModel, evaluate_property,
-                       evaluate_translation, load_config, model_from_checkpoint, train)
+from .training import (evaluate_property, evaluate_translation, load_config,
+                       model_from_checkpoint, train)
 
 log = logging.getLogger("grat")
 
@@ -98,14 +98,15 @@ def _cmd_train(args, task_override=None) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model, _ = model_from_checkpoint(args.ckpt)
+    model, ckpt = model_from_checkpoint(args.ckpt)
+    task = ckpt.config["task"]
     data = load_dataset(args.data, vocabs=(model.label_vocab, model.edge_vocab))
-    if isinstance(model, TranslationModel):
+    if task == "translate":
         if not isinstance(data, TranslationDataset):
             raise DataError("translation checkpoint needs src/tgt records")
         report = evaluate_translation(model, data.pairs, args.max_nodes,
                                       beam_width=args.beam)
-    elif isinstance(model, PropertyModel):
+    elif task == "property":
         if not isinstance(data, GraphDataset):
             raise DataError("property checkpoint needs plain graph records")
         report = evaluate_property(model, data.graphs)
@@ -119,8 +120,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    model, _ = model_from_checkpoint(args.ckpt)
-    if not isinstance(model, TranslationModel):
+    model, ckpt = model_from_checkpoint(args.ckpt)
+    if ckpt.config["task"] != "translate":
         raise ContractError("generate requires a translation checkpoint")
     data = load_dataset(args.src, vocabs=(model.label_vocab, model.edge_vocab))
     if isinstance(data, TranslationDataset):

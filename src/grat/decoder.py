@@ -34,14 +34,11 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import CapacityError, ContractError
-from .graph import (Graph, NO_BOND, SELF, VIRTUAL, RESERVED_EDGE_NAMES,
-                    RESERVED_LABEL_NAMES, TOK_EOG, TOK_G)
+from .graph import (Graph, NO_BOND, SELF, VIRTUAL, N_RESERVED_EDGES, N_RESERVED_LABELS,
+                    TOK_EOG, TOK_G)
 from .nn import affine, init_affine, init_embedding, init_layer_norm, positional_encoding
 from .attention import (init_conditioner, edge_gamma_beta, multi_head_film_attention,
                         feed_forward)
-
-N_RESERVED_EDGES = len(RESERVED_EDGE_NAMES)
-N_RESERVED_LABELS = len(RESERVED_LABEL_NAMES)
 
 
 @dataclass(frozen=True)
@@ -275,10 +272,6 @@ def _argmax_allowed(log_probs: np.ndarray, allowed: np.ndarray) -> int:
     return int(np.argmax(masked))
 
 
-def _partial_graph(labels: tuple[int, ...], edges: np.ndarray) -> Graph:
-    return Graph(labels=labels, edges=edges)
-
-
 def _extend_edges(edges: np.ndarray, new_types: list[int]) -> np.ndarray:
     n = edges.shape[0]
     grown = np.full((n + 1, n + 1), NO_BOND, dtype=np.int64)
@@ -292,7 +285,7 @@ def _extend_edges(edges: np.ndarray, new_types: list[int]) -> np.ndarray:
 def _step_log_probs(cfg, params, encoder_h, labels, edges, prefix):
     """Decode the current prefix; return (label log-probs, per-earlier-node
     edge-class log-probs) for the next step."""
-    batch = build_decoder_batch(_partial_graph(labels, edges))
+    batch = build_decoder_batch(Graph(labels, edges))
     node_logits, edge_logits = decode_forward(cfg, params, encoder_h, batch, prefix=prefix)
     label_lp = _log_softmax_np(node_logits.data[-1])
     i = len(labels) + 1
@@ -333,10 +326,10 @@ def generate_greedy(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Te
             label_lp, edge_lp = _step_log_probs(cfg, params, encoder_h, labels, edges, prefix)
             choice = _argmax_allowed(label_lp, allowed)
             if choice == TOK_EOG:
-                return GeneratedGraph(_partial_graph(labels, edges),
+                return GeneratedGraph(Graph(labels, edges),
                                       score=score + label_lp[TOK_EOG])
             if len(labels) == max_nodes:
-                return GeneratedGraph(_partial_graph(labels, edges),
+                return GeneratedGraph(Graph(labels, edges),
                                       score=score + label_lp[TOK_EOG], truncated=True)
             classes = [int(np.argmax(r)) for r in edge_lp]
             score += label_lp[choice] + sum(r[c] for r, c in zip(edge_lp, classes))
@@ -398,12 +391,12 @@ def generate_beam(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tens
                 if len(hyp.labels) == max_nodes:
                     truncated = _argmax_allowed(label_lp, allowed) != TOK_EOG
                     pool.append((eog_score, counter, GeneratedGraph(
-                        _partial_graph(hyp.labels, hyp.edges), score=eog_score,
+                        Graph(hyp.labels, hyp.edges), score=eog_score,
                         truncated=truncated)))
                     counter += 1
                     continue
                 pool.append((eog_score, counter, GeneratedGraph(
-                    _partial_graph(hyp.labels, hyp.edges), score=eog_score)))
+                    Graph(hyp.labels, hyp.edges), score=eog_score)))
                 counter += 1
                 configs = _edge_config_beam(edge_lp, width)
                 for label in real_labels:

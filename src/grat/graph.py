@@ -23,6 +23,7 @@ SELF = 2
 MASK_EDGE = 3
 NO_EDGE = 4
 RESERVED_EDGE_NAMES = ("<no-bond>", "<virtual>", "<self>", "<mask-edge>", "<no-edge>")
+N_RESERVED_EDGES = len(RESERVED_EDGE_NAMES)
 
 # reserved node-label ids (fixed indices 0..7)
 TOK_G = 0
@@ -35,6 +36,7 @@ TOK_REAGENT = 6
 TOK_PRODUCT = 7
 RESERVED_LABEL_NAMES = ("<G>", "<EOG>", "<CLS>", "<MASK>", "<PAD>",
                         "<REACTANT>", "<REAGENT>", "<PRODUCT>")
+N_RESERVED_LABELS = len(RESERVED_LABEL_NAMES)
 DELIMITER_IDS = (TOK_REACTANT, TOK_REAGENT, TOK_PRODUCT)
 # reserved labels that may legitimately appear as prepended structural nodes
 PREPENDABLE_IDS = (TOK_CLS,) + DELIMITER_IDS
@@ -71,10 +73,6 @@ class _Vocab:
 
     def name(self, idx: int) -> str:
         return self.names[idx]
-
-    @property
-    def n_reserved(self) -> int:
-        return len(self._reserved)
 
     @property
     def real_names(self) -> tuple[str, ...]:
@@ -204,7 +202,7 @@ def validate(g: Graph, label_vocab: NodeLabelVocab | None = None,
     n = g.n
     special = [i for i, lab in enumerate(g.labels) if lab in PREPENDABLE_IDS]
     for i, lab in enumerate(g.labels):
-        if lab < len(RESERVED_LABEL_NAMES) and lab not in PREPENDABLE_IDS:
+        if lab < N_RESERVED_LABELS and lab not in PREPENDABLE_IDS:
             violations.append(f"node {i}: reserved label id {lab} not allowed in a graph")
         if label_vocab is not None and not 0 <= lab < len(label_vocab):
             violations.append(f"node {i}: label id {lab} out of vocabulary range")
@@ -253,7 +251,7 @@ def permute(g: Graph, perm: GraphPermutation) -> Graph:
 
 def prepend_token(g: Graph, token: int, link: int) -> Graph:
     """Insert a reserved token as new node 0, linked to every original node."""
-    if not 0 <= token < len(RESERVED_LABEL_NAMES):
+    if not 0 <= token < N_RESERVED_LABELS:
         raise ContractError(f"prepend_token requires a reserved label id, got {token}")
     n = g.n
     edges = np.full((n + 1, n + 1), NO_BOND, dtype=np.int64)
@@ -282,7 +280,7 @@ def concat_graphs(parts: Sequence[tuple[int, Graph]]) -> Graph:
     if not parts:
         raise ContractError("concat_graphs requires at least one part")
     for token, _ in parts:
-        if not 0 <= token < len(RESERVED_LABEL_NAMES):
+        if not 0 <= token < N_RESERVED_LABELS:
             raise ContractError(f"delimiter must be a reserved label id, got {token}")
     total = sum(g.n + 1 for _, g in parts)
     labels: list[int] = []

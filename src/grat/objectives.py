@@ -13,12 +13,9 @@ from .autodiff import Tensor
 from .errors import ContractError
 from .decoder import edge_class_of_type
 from .graph import (Graph, MASK_EDGE, NO_BOND, TOK_CLS, TOK_MASK, VIRTUAL,
-                    RESERVED_EDGE_NAMES, RESERVED_LABEL_NAMES, prepend_token)
+                    N_RESERVED_EDGES, N_RESERVED_LABELS, prepend_token)
 from .attention import EncoderConfig, encode, readout_cls
 from .nn import affine, init_affine
-
-N_RESERVED_LABELS = len(RESERVED_LABEL_NAMES)
-N_RESERVED_EDGES = len(RESERVED_EDGE_NAMES)
 
 
 def cross_entropy_mean(logits: Tensor, targets: np.ndarray) -> Tensor:

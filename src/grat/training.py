@@ -155,6 +155,22 @@ def _transfer_params(params: dict[str, Tensor], ckpt_path: str):
     log.info("warm start: copied %d/%d tensors from %s", copied, len(params), ckpt_path)
 
 
+def _init_params(task, enc_cfg, dec_cfg, label_vocab, edge_vocab, n_tasks, head_hidden,
+                 rng) -> dict[str, Tensor]:
+    """The parameter set of a task's model, drawn from rng in a fixed order:
+    encoder, decoder (translate), recovery heads (pretrain), then the
+    property head when there are graph-level tasks."""
+    n_labels, n_edges = len(label_vocab), len(edge_vocab)
+    params = init_encoder_params(enc_cfg, n_labels, n_edges, rng)
+    if task == "translate":
+        params.update(init_decoder_params(dec_cfg, n_labels, n_edges, rng))
+    if task == "pretrain":
+        params.update(init_recovery_heads(enc_cfg, n_labels, n_edge_classes(n_edges), rng))
+    if n_tasks:
+        params.update(init_property_head(enc_cfg, n_tasks, rng, hidden=head_hidden))
+    return params
+
+
 @dataclass
 class TranslationModel:
     enc_cfg: EncoderConfig
@@ -165,9 +181,8 @@ class TranslationModel:
 
     @classmethod
     def build(cls, enc_cfg, dec_cfg, label_vocab, edge_vocab, seed) -> "TranslationModel":
-        rng = np.random.default_rng([seed, 0])
-        params = init_encoder_params(enc_cfg, len(label_vocab), len(edge_vocab), rng)
-        params.update(init_decoder_params(dec_cfg, len(label_vocab), len(edge_vocab), rng))
+        params = _init_params("translate", enc_cfg, dec_cfg, label_vocab, edge_vocab, 0, 0,
+                              np.random.default_rng([seed, 0]))
         return cls(enc_cfg, dec_cfg, label_vocab, edge_vocab, params)
 
     def source_input(self, srcs: list[Graph]) -> Graph:
@@ -194,6 +209,9 @@ class TranslationModel:
 
 @dataclass
 class PropertyModel:
+    """The encoder with a property head; a pretrain model also carries the
+    recovery heads, and its tasks are empty unless pretraining is graph-level."""
+
     enc_cfg: EncoderConfig
     label_vocab: NodeLabelVocab
     edge_vocab: EdgeTypeVocab
@@ -205,9 +223,8 @@ class PropertyModel:
     @classmethod
     def build(cls, enc_cfg, label_vocab, edge_vocab, tasks, mu, sigma, seed,
               head_hidden=64) -> "PropertyModel":
-        rng = np.random.default_rng([seed, 0])
-        params = init_encoder_params(enc_cfg, len(label_vocab), len(edge_vocab), rng)
-        params.update(init_property_head(enc_cfg, len(tasks), rng, hidden=head_hidden))
+        params = _init_params("property", enc_cfg, None, label_vocab, edge_vocab, len(tasks),
+                              head_hidden, np.random.default_rng([seed, 0]))
         return cls(enc_cfg, label_vocab, edge_vocab, list(tasks), mu, sigma, params)
 
     def loss_on(self, enc_input: Graph, targets_norm: np.ndarray) -> Tensor:
@@ -221,41 +238,6 @@ class PropertyModel:
             preds = property_forward(self.params, readout_cls(h)).data
         raw = preds * self.sigma + self.mu
         return {task: float(raw[i]) for i, task in enumerate(self.tasks)}
-
-
-@dataclass
-class PretrainModel:
-    enc_cfg: EncoderConfig
-    label_vocab: NodeLabelVocab
-    edge_vocab: EdgeTypeVocab
-    tasks: list[str]  # graph-level tasks; empty when recovery-only
-    mu: np.ndarray
-    sigma: np.ndarray
-    params: dict[str, Tensor]
-
-    @classmethod
-    def build(cls, enc_cfg, label_vocab, edge_vocab, tasks, mu, sigma, seed,
-              head_hidden=64) -> "PretrainModel":
-        rng = np.random.default_rng([seed, 0])
-        params = init_encoder_params(enc_cfg, len(label_vocab), len(edge_vocab), rng)
-        params.update(init_recovery_heads(enc_cfg, len(label_vocab),
-                                          n_edge_classes(len(edge_vocab)), rng))
-        if tasks:
-            params.update(init_property_head(enc_cfg, len(tasks), rng, hidden=head_hidden))
-        return cls(enc_cfg, label_vocab, edge_vocab, list(tasks), mu, sigma, params)
-
-    def loss_on(self, g: Graph, rng: np.random.Generator, mask_rate: float) -> Tensor:
-        sample = mask_graph(g, mask_rate, rng)
-        graph_targets = None
-        if self.tasks and g.properties is not None:
-            raw = np.array([g.properties[t] for t in self.tasks])
-            graph_targets = (raw - self.mu) / self.sigma
-        node_loss, edge_loss, graph_loss = pretrain_losses(
-            self.enc_cfg, self.params, sample, graph_targets)
-        total = ad.add(node_loss, edge_loss)
-        if graph_targets is not None:
-            total = ad.add(total, graph_loss)
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +312,12 @@ class _Task:
     em: Callable[[], float] | None = None
 
 
-def _train_loop(cfg: RunConfig, task: _Task) -> tuple[Adam, int]:
+def _train_loop(cfg: RunConfig, task: _Task) -> int:
     """Shared epoch scaffold: shuffled mini-batches, Adam, optional warmup,
     early stopping on the mean validation loss, optional exact-match stop.
 
     Validation falls back to the first tenth of the training split when the
-    val split is empty.
+    val split is empty. Returns the number of optimizer steps taken.
     """
     params = task.model.params
     train_idx = task.split["train"]
@@ -400,7 +382,7 @@ def _train_loop(cfg: RunConfig, task: _Task) -> tuple[Adam, int]:
             break
     if cfg.selection == "val" or track_em:
         _restore(params, best_snap)
-    return adam, steps
+    return steps
 
 
 def _task_stats(graphs, tasks):
@@ -432,9 +414,9 @@ def _config_snapshot(cfg: RunConfig, model) -> dict:
         "max_nodes": cfg.max_nodes,
         "head_hidden": cfg.head_hidden,
     }
-    if isinstance(model, TranslationModel):
+    if cfg.task == "translate":
         snap["decoder"] = dataclasses.asdict(model.dec_cfg)
-    if isinstance(model, (PropertyModel, PretrainModel)):
+    else:
         snap["tasks"] = list(model.tasks)
         snap["mu"] = [float(x) for x in model.mu]
         snap["sigma"] = [float(x) for x in model.sigma]
@@ -454,13 +436,13 @@ def train(cfg: RunConfig):
     if cfg.init_checkpoint:
         _transfer_params(model.params, cfg.init_checkpoint)
     try:
-        adam, steps = _train_loop(cfg, task)
+        steps = _train_loop(cfg, task)
     except NumericError:
         save_checkpoint(cfg.out_checkpoint, model.params, _config_snapshot(cfg, model))
         log.error("aborted on non-finite numbers; last-good checkpoint at %s",
                   cfg.out_checkpoint)
         raise
-    save_checkpoint(cfg.out_checkpoint, model.params, _config_snapshot(cfg, model), adam)
+    save_checkpoint(cfg.out_checkpoint, model.params, _config_snapshot(cfg, model))
     report = task.report()
     report.counts.update(steps=steps, train=len(task.split["train"]),
                          val=len(task.split["val"]), test=len(task.split["test"]))
@@ -530,13 +512,27 @@ def _pretrain_task(cfg: RunConfig) -> _Task:
         tasks = _select_tasks(cfg, data.graphs)
         if tasks:
             mu, sigma = _task_stats([data.graphs[i] for i in split["train"]], tasks)
-    model = PretrainModel.build(cfg.encoder_config(), data.label_vocab, data.edge_vocab,
-                                tasks, mu, sigma, cfg.seed, head_hidden=cfg.head_hidden)
+    enc_cfg = cfg.encoder_config()
+    params = _init_params("pretrain", enc_cfg, None, data.label_vocab, data.edge_vocab,
+                          len(tasks), cfg.head_hidden, np.random.default_rng([cfg.seed, 0]))
+    model = PropertyModel(enc_cfg, data.label_vocab, data.edge_vocab, tasks, mu, sigma,
+                          params)
 
     def loss(j, epoch):
         # training masks are redrawn every epoch; validation masks are fixed
         key = [cfg.seed, 3, j] if epoch is None else [cfg.seed, 2, epoch, j]
-        return model.loss_on(data.graphs[j], np.random.default_rng(key), cfg.mask_rate)
+        g = data.graphs[j]
+        sample = mask_graph(g, cfg.mask_rate, np.random.default_rng(key))
+        graph_targets = None
+        if tasks and g.properties is not None:
+            raw = np.array([g.properties[t] for t in tasks])
+            graph_targets = (raw - mu) / sigma
+        node_loss, edge_loss, graph_loss = pretrain_losses(enc_cfg, params, sample,
+                                                           graph_targets)
+        total = ad.add(node_loss, edge_loss)
+        if graph_targets is not None:
+            total = ad.add(total, graph_loss)
+        return total
 
     return _Task(model, split, loss=loss, report=MetricReport)
 
@@ -545,26 +541,54 @@ def _pretrain_task(cfg: RunConfig) -> _Task:
 # rebuilding models from checkpoints
 
 
+class _ShapeOnly:
+    """Generator stand-in for _init_params: arrays of the right shape, no draws."""
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return np.empty(size)
+
+    normal = uniform
+
+
 def model_from_checkpoint(path):
-    """Reconstruct the task-appropriate model from a checkpoint's snapshot."""
+    """Reconstruct the task's model from a checkpoint's snapshot.
+
+    Fails closed: the stored parameters must be exactly the set, with the
+    shapes, that the snapshot's task and configs imply.
+    """
     ckpt = load_checkpoint(path)
     cfg = ckpt.config
+    if not isinstance(cfg, dict):
+        raise CheckpointError("checkpoint config snapshot is not a JSON object")
     task = cfg.get("task")
-    lv = NodeLabelVocab(cfg.get("labels", []))
-    ev = EdgeTypeVocab(cfg.get("edges", []))
+    if task not in TASKS:
+        raise CheckpointError(f"checkpoint has unknown task {task!r}")
     try:
+        lv = NodeLabelVocab(cfg.get("labels", []))
+        ev = EdgeTypeVocab(cfg.get("edges", []))
         enc_cfg = EncoderConfig(**cfg.get("encoder", {}))
         dec_cfg = DecoderConfig(**cfg.get("decoder", {})) if task == "translate" else None
-    except (TypeError, ContractError) as exc:
+        tasks = [] if task == "translate" else list(cfg.get("tasks", []))
+        mu = np.array(cfg.get("mu", []), dtype=np.float64)
+        sigma = (np.array(cfg["sigma"], dtype=np.float64) if cfg.get("sigma")
+                 else np.ones(len(tasks)))
+        expected = _init_params(task, enc_cfg, dec_cfg, lv, ev, len(tasks),
+                                cfg.get("head_hidden", 64), _ShapeOnly())
+    except (TypeError, ValueError, ContractError) as exc:
         raise CheckpointError(f"checkpoint config snapshot does not match this "
                               f"version of grat: {exc}") from None
+    if task != "translate" and not mu.shape == sigma.shape == (len(tasks),):
+        raise CheckpointError(f"checkpoint mu/sigma do not match its {len(tasks)} tasks")
+    missing = sorted(set(expected) - set(ckpt.params))
+    extra = sorted(set(ckpt.params) - set(expected))
+    reshaped = sorted(name for name, p in expected.items()
+                      if name in ckpt.params and ckpt.params[name].shape != p.shape)
+    problems = [f"{what} {len(names)} ({', '.join(names[:3])}{', ...' * (len(names) > 3)})"
+                for what, names in (("missing", missing), ("unexpected", extra),
+                                    ("wrong shape", reshaped)) if names]
+    if problems:
+        raise CheckpointError("checkpoint parameters do not match its config: "
+                              + "; ".join(problems))
     if task == "translate":
         return TranslationModel(enc_cfg, dec_cfg, lv, ev, ckpt.params), ckpt
-    tasks = cfg.get("tasks", [])
-    mu = np.array(cfg.get("mu", []))
-    sigma = np.array(cfg.get("sigma", [])) if cfg.get("sigma") else np.ones(len(tasks))
-    if task == "property":
-        return PropertyModel(enc_cfg, lv, ev, tasks, mu, sigma, ckpt.params), ckpt
-    if task == "pretrain":
-        return PretrainModel(enc_cfg, lv, ev, tasks, mu, sigma, ckpt.params), ckpt
-    raise CheckpointError(f"checkpoint has unknown task {task!r}")
+    return PropertyModel(enc_cfg, lv, ev, tasks, mu, sigma, ckpt.params), ckpt

@@ -1,14 +1,15 @@
 """Checkpoint format: bit-exact round trips, corruption detection, manifest
 completeness."""
 
+import json
 import struct
 
 import numpy as np
 import pytest
 
 from grat import checkpoint
-from grat.autodiff import Adam, Tensor
-from grat.checkpoint import MAGIC, load_checkpoint, restore_optimizer, save_checkpoint
+from grat.autodiff import Tensor
+from grat.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from grat.errors import CheckpointError
 
 
@@ -34,24 +35,6 @@ def test_round_trip_bit_exact(tmp_path):
         assert ckpt.params[name].data.shape == p.data.shape
 
 
-def test_round_trip_with_optimizer_state(tmp_path):
-    rng = np.random.default_rng(1)
-    params = random_params(rng, n_tensors=3)
-    adam = Adam(params, lr=0.01)
-    for _ in range(3):
-        for p in params.values():
-            p.grad = rng.normal(size=p.data.shape)
-        adam.step()
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(path, params, {"task": "translate"}, adam)
-    ckpt = load_checkpoint(path)
-    restored = restore_optimizer(ckpt, ckpt.params)
-    assert restored.t == adam.t and restored.lr == adam.lr
-    for name in params:
-        assert np.array_equal(restored.m[name], adam.m[name])
-        assert np.array_equal(restored.v[name], adam.v[name])
-
-
 def test_many_random_round_trips(tmp_path):
     rng = np.random.default_rng(2)
     for i in range(50):
@@ -65,7 +48,6 @@ def test_many_random_round_trips(tmp_path):
 
 def test_manifest_lists_every_parameter_exactly_once(tmp_path):
     # registry-diff: manifest names == registry names, no dupes possible in dict
-    import json
     rng = np.random.default_rng(3)
     params = random_params(rng)
     path = tmp_path / "m.ckpt"
@@ -109,6 +91,18 @@ def test_failed_write_leaves_previous_checkpoint_whole(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 
+def read_manifest(path):
+    raw = path.read_bytes()
+    manifest_len = struct.unpack("<Q", raw[12:20])[0]
+    return json.loads(raw[20:20 + manifest_len]), raw[20 + manifest_len:]
+
+
+def write_raw(path, manifest, blob):
+    encoded = json.dumps(manifest).encode()
+    path.write_bytes(MAGIC + struct.pack("<I", 1) + struct.pack("<Q", len(encoded))
+                     + encoded + blob)
+
+
 class TestCorruption:
     def make(self, tmp_path):
         params = {"w": Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)}
@@ -140,29 +134,50 @@ class TestCorruption:
             load_checkpoint(path)
 
     def test_overlapping_offsets(self, tmp_path):
-        import json
         path = self.make(tmp_path)
-        raw = path.read_bytes()
-        manifest_len = struct.unpack("<Q", raw[12:20])[0]
-        manifest = json.loads(raw[20:20 + manifest_len])
+        manifest, blob = read_manifest(path)
         manifest["tensors"]["w2"] = dict(manifest["tensors"]["param/w"])
         manifest["tensors"]["w2"]["offset"] = 8  # overlaps param/w at 0..48
-        blob = raw[20 + manifest_len:] + b"\0" * 16
-        new_manifest = json.dumps(manifest).encode()
-        path.write_bytes(MAGIC + struct.pack("<I", 1) + struct.pack("<Q", len(new_manifest))
-                         + new_manifest + blob)
+        write_raw(path, manifest, blob + b"\0" * 16)
         with pytest.raises(CheckpointError, match="overlap"):
             load_checkpoint(path)
 
     def test_shape_nbytes_mismatch(self, tmp_path):
-        import json
         path = self.make(tmp_path)
-        raw = path.read_bytes()
-        manifest_len = struct.unpack("<Q", raw[12:20])[0]
-        manifest = json.loads(raw[20:20 + manifest_len])
+        manifest, blob = read_manifest(path)
         manifest["tensors"]["param/w"]["shape"] = [4, 3]
-        new_manifest = json.dumps(manifest).encode()
-        path.write_bytes(MAGIC + struct.pack("<I", 1) + struct.pack("<Q", len(new_manifest))
-                         + new_manifest + raw[20 + manifest_len:])
+        write_raw(path, manifest, blob)
         with pytest.raises(CheckpointError, match="nbytes"):
+            load_checkpoint(path)
+
+    def test_shape_whose_size_overflows_int64(self, tmp_path):
+        path = self.make(tmp_path)
+        manifest, blob = read_manifest(path)
+        manifest["tensors"]["param/w"].update(shape=[2 ** 32, 2 ** 32], nbytes=0)
+        write_raw(path, manifest, blob)
+        with pytest.raises(CheckpointError, match="nbytes"):
+            load_checkpoint(path)
+
+    def test_manifest_not_an_object(self, tmp_path):
+        path = self.make(tmp_path)
+        _, blob = read_manifest(path)
+        write_raw(path, [1, 2], blob)
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            load_checkpoint(path)
+
+    def test_tensor_entry_not_an_object(self, tmp_path):
+        path = self.make(tmp_path)
+        manifest, blob = read_manifest(path)
+        manifest["tensors"]["param/w"] = "float64"
+        write_raw(path, manifest, blob)
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape", [[-2, -3], [-1, 6], "23", [2.0, 3], [2, None], 6])
+    def test_shape_not_a_list_of_non_negative_ints(self, tmp_path, shape):
+        path = self.make(tmp_path)
+        manifest, blob = read_manifest(path)
+        manifest["tensors"]["param/w"]["shape"] = shape
+        write_raw(path, manifest, blob)
+        with pytest.raises(CheckpointError, match="non-negative ints"):
             load_checkpoint(path)

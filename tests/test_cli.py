@@ -69,6 +69,25 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("grat: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda params, config: ({k: v for k, v in params.items() if k != "dec.fl.b"}, config),
+        lambda params, config: (dict(params, **{"dec.fl.b": params["dec.fl.b"][:3]}), config),
+        lambda params, config: (dict(params, **{"dec.extra.w": params["dec.fl.w"]}), config),
+        lambda params, config: (params, [1, 2]),
+        lambda params, config: (params, dict(config, labels=5)),
+        lambda params, config: (params, dict(config, labels=["<G>"])),
+    ], ids=["missing", "wrong-shape", "extra", "config-list", "labels-int",
+            "labels-reserved"])
+    def test_generate_rejects_checkpoint_unlike_its_config(self, copy_setup, capsys,
+                                                           corrupt):
+        _, data, ckpt = copy_setup
+        loaded = load_checkpoint(ckpt)
+        save_checkpoint(ckpt, *corrupt(loaded.params, loaded.config))
+        capsys.readouterr()
+        assert run(["generate", "--ckpt", ckpt, "--src", data, "--beam", 1]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("grat: ") and "Traceback" not in err
+
     def test_train_missing_config_is_data_error(self, tmp_path):
         assert run(["train", "--config", tmp_path / "nope.json"]) == 2
 
@@ -86,6 +105,21 @@ class TestTrainEval:
             "batch_size": 8, "max_steps": 2,
             "out_checkpoint": str(tmp_path / "pre.ckpt")}))
         assert run(["pretrain", "--config", config]) == 0
+
+    def test_eval_on_pretrain_checkpoint_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "p.jsonl"
+        run(["gen-data", "property", "--out", data, "--seed", 2, "--n-graphs", 20])
+        config = tmp_path / "c.json"
+        ckpt = tmp_path / "pre.ckpt"
+        config.write_text(json.dumps({
+            "task": "pretrain", "data": str(data), "seed": 0, "epochs": 1,
+            "batch_size": 8, "max_steps": 2, "pretrain_graph_level": True,
+            "out_checkpoint": str(ckpt)}))
+        assert run(["pretrain", "--config", config]) == 0
+        capsys.readouterr()
+        assert run(["eval", "--ckpt", ckpt, "--data", data]) == 1
+        assert capsys.readouterr().err == \
+            "grat: eval supports property and translation checkpoints\n"
 
 
 class TestGenerate:
@@ -160,7 +194,8 @@ class TestDumpAttention:
         out = tmp_path / "att.csv"
         assert run(["dump-attention", "--ckpt", ckpt, "--graph", graph_file,
                     "--layer", 0, "--out", out]) == 0
-        rows = list(csv.reader(open(out)))
+        with open(out) as fh:
+            rows = list(csv.reader(fh))
         assert float(rows[1][1]) == 1.0
 
     def test_layer_out_of_range_is_usage_error(self, copy_setup, tmp_path):

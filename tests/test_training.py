@@ -4,15 +4,16 @@ NaN abort with last-good checkpoint), warm starts, and evaluation helpers."""
 import dataclasses
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from grat import training as tr
-from grat.checkpoint import load_checkpoint
+from grat.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from grat.data import (gen_copy_dataset, gen_property_dataset, load_dataset,
                        write_jsonl)
-from grat.errors import ContractError, DataError, NumericError
+from grat.errors import CheckpointError, ContractError, DataError, NumericError
 from grat.objectives import exact_match
 from grat.training import (PRESETS, RunConfig, config_from_dict, load_config,
                            model_from_checkpoint, train)
@@ -119,7 +120,8 @@ class TestTrainLoop:
     def test_nan_loss_aborts_and_keeps_last_good_checkpoint(self, prop_data, tmp_path):
         # lr large enough that the second forward pass overflows into NaN
         cfg = quick_cfg("property", prop_data, tmp_path, max_steps=50, lr=1e154)
-        with pytest.raises(NumericError):
+        with pytest.warns(RuntimeWarning, match="overflow encountered|invalid value"), \
+                pytest.raises(NumericError):
             train(cfg)
         ckpt = load_checkpoint(cfg.out_checkpoint)
         for arr in ckpt.params.values():
@@ -153,3 +155,87 @@ class TestEvaluation:
         report = tr.evaluate_property(model, data.graphs)
         assert report.counts["graphs"] == len(data.graphs)
         assert set(report.per_task_mae) == set(model.tasks)
+
+
+def write_parent_format(path, params, config):
+    """A checkpoint as older versions wrote it: Adam moments under opt/m|v/
+    and an optimizer entry in the manifest."""
+    rng = np.random.default_rng(5)
+    tensors = {f"param/{name}": p.data for name, p in params.items()}
+    for name, p in params.items():
+        tensors[f"opt/m/{name}"] = rng.normal(size=p.data.shape)
+        tensors[f"opt/v/{name}"] = rng.random(size=p.data.shape)
+    entries, blob = {}, bytearray()
+    for name, arr in tensors.items():
+        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        entries[name] = {"dtype": "float64", "shape": list(arr.shape),
+                         "offset": len(blob), "nbytes": len(raw)}
+        blob.extend(raw)
+    manifest = json.dumps({"tensors": entries, "config": config, "optimizer": {
+        "t": 2, "lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}}).encode()
+    path.write_bytes(MAGIC + struct.pack("<I", 1) + struct.pack("<Q", len(manifest))
+                     + manifest + bytes(blob))
+
+
+class TestCheckpointContract:
+    def test_parent_format_with_optimizer_state_loads(self, copy_data, tmp_path):
+        cfg = quick_cfg("translate", copy_data, tmp_path, max_steps=2)
+        model, _ = train(cfg)
+        legacy = tmp_path / "legacy.ckpt"
+        write_parent_format(legacy, model.params, load_checkpoint(cfg.out_checkpoint).config)
+        loaded, ckpt = model_from_checkpoint(legacy)
+        assert isinstance(loaded, tr.TranslationModel)
+        assert set(loaded.params) == set(model.params)
+        for name, p in model.params.items():
+            assert np.array_equal(loaded.params[name].data, p.data), name
+        assert not hasattr(ckpt, "optimizer")
+
+    def test_graph_level_pretrain_round_trip(self, prop_data, tmp_path):
+        cfg = quick_cfg("pretrain", prop_data, tmp_path, max_steps=3,
+                        pretrain_graph_level=True)
+        model, _ = train(cfg)
+        assert model.tasks and any(name.startswith("rec.") for name in model.params)
+        loaded, _ = model_from_checkpoint(cfg.out_checkpoint)
+        assert loaded.tasks == model.tasks
+        data = load_dataset(prop_data, vocabs=(model.label_vocab, model.edge_vocab))
+        for g in data.graphs[:5]:
+            assert model.predict(g) == loaded.predict(g)
+
+    def test_snapshot_without_optional_keys_loads(self, prop_data, tmp_path):
+        # no seed, head_hidden, beam_width or max_nodes: head_hidden falls
+        # back to PropertyModel.build's default
+        data = load_dataset(prop_data)
+        enc_cfg = RunConfig(task="property").encoder_config()
+        model = tr.PropertyModel.build(enc_cfg, data.label_vocab, data.edge_vocab,
+                                       ["wsum"], np.array([1.5]), np.array([2.0]), seed=3)
+        path = tmp_path / "bare.ckpt"
+        save_checkpoint(path, model.params, {
+            "task": "property", "preset": "desk",
+            "labels": list(data.label_vocab.real_names),
+            "edges": list(data.edge_vocab.real_names),
+            "encoder": dataclasses.asdict(enc_cfg),
+            "tasks": ["wsum"], "mu": [1.5], "sigma": [2.0]})
+        loaded, _ = model_from_checkpoint(path)
+        for g in data.graphs[:5]:
+            assert model.predict(g) == loaded.predict(g)
+
+    @pytest.mark.parametrize("change, match", [
+        ({"mu": [0.0]}, "mu/sigma"),
+        ({"sigma": [1.0, 1.0, 1.0]}, "mu/sigma"),
+        ({"tasks": ["wsum"]}, "mu/sigma"),
+        ({"head_hidden": 32}, "wrong shape"),
+        ({"task": "translate"}, r"missing 65 \(dec\..*; unexpected 4 \(prop\."),
+        ({"task": "paint"}, "unknown task"),
+        ({"encoder": {"layers": 3}}, r"missing 16 \(enc\.l2"),
+        ({"labels": 5}, "version of grat"),
+    ], ids=["mu", "sigma", "tasks", "head-hidden", "task-translate", "task-unknown",
+            "encoder-layers", "labels-int"])
+    def test_config_that_does_not_fit_the_parameters_is_rejected(
+            self, prop_data, tmp_path, change, match):
+        cfg = quick_cfg("property", prop_data, tmp_path, epochs=0)
+        train(cfg)
+        ckpt = load_checkpoint(cfg.out_checkpoint)
+        ckpt.config.update(change)
+        save_checkpoint(cfg.out_checkpoint, ckpt.params, ckpt.config)
+        with pytest.raises(CheckpointError, match=match):
+            model_from_checkpoint(cfg.out_checkpoint)
