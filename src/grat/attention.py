@@ -71,12 +71,13 @@ def edge_gamma_beta(params: dict[str, Tensor], name: str, edge_matrix: np.ndarra
                     ) -> tuple[list[Tensor], list[Tensor]]:
     """Per-layer modulation matrices for every node pair.
 
-    Returns (gammas, betas), each a list of n_layers tensors of shape (n, n).
+    Returns (gammas, betas), each a list of n_layers tensors shaped like
+    edge_matrix, which may be rectangular (queries by keys).
     The one-hot input layer is realized as a row gather, which is exactly the
     one-hot matrix product.
     """
     onehot = params[f"{name}.onehot"]
-    n = edge_matrix.shape[0]
+    shape = np.shape(edge_matrix)
     ids = np.asarray(edge_matrix, dtype=np.int64).reshape(-1)
     if ids.size and (ids.min() < 0 or ids.max() >= onehot.shape[0]):
         raise ContractError(
@@ -88,8 +89,8 @@ def edge_gamma_beta(params: dict[str, Tensor], name: str, edge_matrix: np.ndarra
     raw = affine(params, f"{name}.out", ad.tanh(h))
     gammas, betas = [], []
     for layer in range(n_layers):
-        gammas.append(ad.reshape(ad.add(raw[:, 2 * layer], 1.0), (n, n)))
-        betas.append(ad.reshape(raw[:, 2 * layer + 1], (n, n)))
+        gammas.append(ad.reshape(ad.add(raw[:, 2 * layer], 1.0), shape))
+        betas.append(ad.reshape(raw[:, 2 * layer + 1], shape))
     return gammas, betas
 
 

@@ -7,7 +7,6 @@ order; gradients accumulate additively across fan-out. Everything is float64.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -15,22 +14,23 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, NumericError
 
-_state = threading.local()  # per-thread recording flag; default on
-
-
-def _recording() -> bool:
-    return getattr(_state, "grad_enabled", True)
+_grad_enabled = True  # recording flag, process-wide; no_grad() clears it
 
 
 @contextmanager
 def no_grad():
-    """Disable graph recording in this thread (cheap evaluation / generation)."""
-    prev = _recording()
-    _state.grad_enabled = False
+    """Disable graph recording (cheap evaluation / generation).
+
+    The flag is one per process, not per thread: grat runs no threads, and
+    every recorded op reads it.
+    """
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
     try:
         yield
     finally:
-        _state.grad_enabled = prev
+        _grad_enabled = prev
 
 
 class Tensor:
@@ -85,7 +85,7 @@ def _accumulate(t: Tensor, grad: np.ndarray):
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    requires = _recording() and any(p.requires_grad for p in parents)
+    requires = _grad_enabled and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=requires)
     if requires:
         out._parents = parents

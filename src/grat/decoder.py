@@ -22,11 +22,16 @@ the steps sequentially:
 The edge matrix feeds the same FiLM conditioner as the encoder: SELF on the
 diagonal, the target graph's types between node positions (teacher forcing),
 VIRTUAL from <G> positions to the nodes they may attend.
+
+Generation runs the same equivalence the other way. Node positions never
+attend to <G> and the mask is causal, so a node's per-layer states are final
+once its label and edges are chosen. Beam search (greedy decoding is width 1)
+caches each hypothesis's node rows and decodes only the pending rows of all
+live hypotheses per step, in one batched pass, in the spirit of KV caching.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,21 +127,20 @@ class DecoderBatch:
         return len(self.pair_target_classes)
 
 
-def build_decoder_batch(target: Graph) -> DecoderBatch:
-    """Interleaved tokens, edge matrix, masking matrix, and targets (Fig. 1 layout)."""
-    k = target.n
-    for lab in target.labels:
-        if lab < N_RESERVED_LABELS:
-            raise ContractError(f"target graph contains reserved label id {lab}")
+def _layout(labels: tuple[int, ...], edges: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tokens, edge matrix and masking matrix of the interleaved sequence of a
+    k-node graph; the one definition of the Fig. 1 layout."""
+    k = len(labels)
     length = 2 * k + 1
     tokens = np.full(length, TOK_G, dtype=np.int64)
     if k:
-        tokens[1::2] = np.asarray(target.labels, dtype=np.int64)
+        tokens[1::2] = labels
 
     edge_matrix = np.full((length, length), VIRTUAL, dtype=np.int64)
     if k:
         node_pos = np.arange(1, 2 * k, 2)
-        edge_matrix[np.ix_(node_pos, node_pos)] = target.edges
+        edge_matrix[np.ix_(node_pos, node_pos)] = edges
     np.fill_diagonal(edge_matrix, SELF)
 
     # strictly earlier positions, never across a NO_BOND pair (<G> rows carry
@@ -144,7 +148,16 @@ def build_decoder_batch(target: Graph) -> DecoderBatch:
     mask = (edge_matrix != NO_BOND) & np.tri(length, k=-1, dtype=bool)
     mask[:, ::2] = False
     np.fill_diagonal(mask, True)
+    return tokens, edge_matrix, mask
 
+
+def build_decoder_batch(target: Graph) -> DecoderBatch:
+    """Interleaved tokens, edge matrix, masking matrix, and targets (Fig. 1 layout)."""
+    k = target.n
+    for lab in target.labels:
+        if lab < N_RESERVED_LABELS:
+            raise ContractError(f"target graph contains reserved label id {lab}")
+    tokens, edge_matrix, mask = _layout(target.labels, target.edges)
     node_targets = np.concatenate([np.asarray(target.labels, dtype=np.int64),
                                    np.array([TOK_EOG], dtype=np.int64)])
     steps, nodes, classes = [], [], []
@@ -187,6 +200,50 @@ def init_decoder_params(cfg: DecoderConfig, n_labels: int, n_edge_types: int,
     return params
 
 
+def _layers(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor, x: Tensor,
+            edge_matrix: np.ndarray, mask: np.ndarray, prefix: str,
+            cached: list[np.ndarray] | None = None) -> tuple[Tensor, list[Tensor]]:
+    """The decoder stack over the input rows x; returns the output rows and
+    each layer's input rows.
+
+    Self-attention keys and values come from x itself. With cached (per
+    layer, an (h, c, width) array: c constant rows for each of h equal groups
+    of x's rows), the key set is, group by group, its cached rows then its own
+    rows of x; edge_matrix and mask then have one column per key. The cached
+    rows carry no gradient, so that path is for inference only.
+    """
+    if encoder_h.shape[1] != cfg.width:
+        raise ContractError(
+            f"encoder width {encoder_h.shape[1]} != decoder width {cfg.width}")
+    gammas, betas = edge_gamma_beta(params, f"{prefix}.cond", edge_matrix, cfg.layers)
+    inputs = []
+    for i in range(cfg.layers):
+        base = f"{prefix}.l{i}"
+        inputs.append(x)
+        keys = None
+        if cached is not None:
+            groups, _, width = cached[i].shape
+            keys = Tensor(np.concatenate([cached[i], x.data.reshape(groups, -1, width)],
+                                         axis=1).reshape(-1, width))
+        attn, _ = multi_head_film_attention(cfg, params, f"{base}.self", x,
+                                            gammas[i], betas[i], mask, memory=keys)
+        x = ad.layer_norm(ad.add(x, attn), params[f"{base}.ln1.g"], params[f"{base}.ln1.b"])
+        cross, _ = multi_head_film_attention(cfg, params, f"{base}.cross", x,
+                                             memory=encoder_h)
+        x = ad.layer_norm(ad.add(x, cross), params[f"{base}.ln2.g"], params[f"{base}.ln2.b"])
+        ff = feed_forward(params, base, x)
+        x = ad.layer_norm(ad.add(x, ff), params[f"{base}.ln3.g"], params[f"{base}.ln3.b"])
+    return x, inputs
+
+
+def _edge_logits(cfg: DecoderConfig, params: dict[str, Tensor], prefix: str,
+                 p_steps: Tensor, p_nodes: Tensor) -> Tensor:
+    """Edge head over aligned rows of step and node dec.fp projections."""
+    act = ad.tanh if cfg.fe_activation == "tanh" else ad.relu
+    hidden = act(affine(params, f"{prefix}.fe1", ad.concat([p_steps, p_nodes], axis=1)))
+    return affine(params, f"{prefix}.fe2", hidden)
+
+
 def decode_forward(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor,
                    batch: DecoderBatch, prefix: str = "dec",
                    input_offsets: np.ndarray | None = None
@@ -201,25 +258,12 @@ def decode_forward(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Ten
     length = len(batch.tokens)
     if length > cfg.max_context:
         raise CapacityError(f"decoder sequence length {length} exceeds {cfg.max_context}")
-    if encoder_h.shape[1] != cfg.width:
-        raise ContractError(
-            f"encoder width {encoder_h.shape[1]} != decoder width {cfg.width}")
     x = ad.embedding_gather(params[f"{prefix}.embed"], batch.tokens)
     if cfg.use_positional_encoding:
         x = ad.add(x, Tensor(positional_encoding(length, cfg.width)))
     if input_offsets is not None:
         x = ad.add(x, Tensor(input_offsets))
-    gammas, betas = edge_gamma_beta(params, f"{prefix}.cond", batch.edge_matrix, cfg.layers)
-    for i in range(cfg.layers):
-        base = f"{prefix}.l{i}"
-        attn, _ = multi_head_film_attention(cfg, params, f"{base}.self", x,
-                                            gammas[i], betas[i], batch.mask)
-        x = ad.layer_norm(ad.add(x, attn), params[f"{base}.ln1.g"], params[f"{base}.ln1.b"])
-        cross, _ = multi_head_film_attention(cfg, params, f"{base}.cross", x,
-                                             memory=encoder_h)
-        x = ad.layer_norm(ad.add(x, cross), params[f"{base}.ln2.g"], params[f"{base}.ln2.b"])
-        ff = feed_forward(params, base, x)
-        x = ad.layer_norm(ad.add(x, ff), params[f"{base}.ln3.g"], params[f"{base}.ln3.b"])
+    x, _ = _layers(cfg, params, encoder_h, x, batch.edge_matrix, batch.mask, prefix)
 
     h_gen = x[np.arange(0, length, 2)]       # h'_i, one per step
     node_logits = affine(params, f"{prefix}.fl", h_gen)
@@ -229,11 +273,9 @@ def decode_forward(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Ten
     h_nodes = x[np.arange(1, length, 2)]     # h_j, one per generated node
     p_gen = affine(params, f"{prefix}.fp", h_gen)
     p_nodes = affine(params, f"{prefix}.fp", h_nodes)
-    pair_input = ad.concat([ad.embedding_gather(p_gen, batch.pair_steps),
-                            ad.embedding_gather(p_nodes, batch.pair_nodes)], axis=1)
-    act = ad.tanh if cfg.fe_activation == "tanh" else ad.relu
-    edge_logits = affine(params, f"{prefix}.fe2",
-                         act(affine(params, f"{prefix}.fe1", pair_input)))
+    edge_logits = _edge_logits(cfg, params, prefix,
+                               ad.embedding_gather(p_gen, batch.pair_steps),
+                               ad.embedding_gather(p_nodes, batch.pair_nodes))
     return node_logits, edge_logits
 
 
@@ -253,11 +295,6 @@ class GeneratedGraph:
     graph: Graph
     score: float
     truncated: bool = False
-
-
-def _log_softmax_np(row: np.ndarray) -> np.ndarray:
-    shifted = row - row.max()
-    return shifted - math.log(np.exp(shifted).sum())
 
 
 def _allowed_labels(n_labels: int) -> np.ndarray:
@@ -282,21 +319,6 @@ def _extend_edges(edges: np.ndarray, new_types: list[int]) -> np.ndarray:
     return grown
 
 
-def _step_log_probs(cfg, params, encoder_h, labels, edges, prefix):
-    """Decode the current prefix; return (label log-probs, per-earlier-node
-    edge-class log-probs) for the next step."""
-    batch = build_decoder_batch(Graph(labels, edges))
-    node_logits, edge_logits = decode_forward(cfg, params, encoder_h, batch, prefix=prefix)
-    label_lp = _log_softmax_np(node_logits.data[-1])
-    i = len(labels) + 1
-    if i > 1:
-        step_rows = edge_logits.data[-(i - 1):]
-        edge_lp = np.stack([_log_softmax_np(r) for r in step_rows])
-    else:
-        edge_lp = np.zeros((0, 0))
-    return label_lp, edge_lp
-
-
 def _check_max_nodes(cfg: DecoderConfig, max_nodes: int):
     """A max_nodes-node prefix decodes 2*max_nodes+1 positions; reject a cap
     the decoder context cannot hold before any decoding starts."""
@@ -307,45 +329,70 @@ def _check_max_nodes(cfg: DecoderConfig, max_nodes: int):
                             f"positions, context limit is {cfg.max_context}")
 
 
-def generate_greedy(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor,
-                    max_nodes: int, prefix: str = "dec") -> GeneratedGraph:
-    """Argmax decoding: stop on <EOG>, one argmax edge class per earlier node.
-
-    Only real labels and <EOG> can be selected; the returned graph therefore
-    always passes validation. Prefixes are re-decoded each step (no caching),
-    which is exactly the sequential view the masking matrix parallelizes.
-    """
-    _check_max_nodes(cfg, max_nodes)
-    n_labels = params[f"{prefix}.embed"].shape[0]
-    allowed = _allowed_labels(n_labels)
-    labels: tuple[int, ...] = ()
-    edges = np.zeros((0, 0), dtype=np.int64)
-    score = 0.0
-    with ad.no_grad():
-        while True:
-            label_lp, edge_lp = _step_log_probs(cfg, params, encoder_h, labels, edges, prefix)
-            choice = _argmax_allowed(label_lp, allowed)
-            if choice == TOK_EOG:
-                return GeneratedGraph(Graph(labels, edges),
-                                      score=score + label_lp[TOK_EOG])
-            if len(labels) == max_nodes:
-                return GeneratedGraph(Graph(labels, edges),
-                                      score=score + label_lp[TOK_EOG], truncated=True)
-            classes = [int(np.argmax(r)) for r in edge_lp]
-            score += label_lp[choice] + sum(r[c] for r, c in zip(edge_lp, classes))
-            labels = labels + (choice,)
-            edges = _extend_edges(edges, [edge_type_of_class(c) for c in classes])
-
-
 @dataclass
 class _Hypothesis:
+    """A live prefix of m nodes. cache holds, per layer, the input rows of
+    nodes 1..m-1, then their final dec.fp projections; node m is pending."""
+
     labels: tuple[int, ...]
     edges: np.ndarray
     score: float
-    order: int
+    cache: tuple[np.ndarray, ...]
 
 
-def _edge_config_beam(edge_lp: np.ndarray, width: int) -> list[tuple[tuple[int, ...], float]]:
+def _root(cfg: DecoderConfig) -> _Hypothesis:
+    empty = tuple(np.zeros((0, cfg.width)) for _ in range(cfg.layers))
+    return _Hypothesis((), np.zeros((0, 0), dtype=np.int64), 0.0,
+                       empty + (np.zeros((0, cfg.pair_width)),))
+
+
+def _step(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor,
+          live: list[_Hypothesis], prefix: str
+          ) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, ...]]]:
+    """Decode the pending rows of every live hypothesis in one pass.
+
+    All hypotheses hold m nodes. Their pending rows, node m and the next <G>,
+    attend to a block-diagonal key set: per hypothesis its cached node rows,
+    then its own pending rows. Returns the next label's log-probs (h, labels),
+    the edge-class log-probs against nodes 1..m (h, m, classes), and each
+    hypothesis's cache extended by node m.
+    """
+    m = len(live[0].labels)
+    pos = np.arange(max(2 * m - 1, 0), 2 * m + 1)      # pending positions
+    keys = np.append(np.arange(1, 2 * m, 2), 2 * m)    # node positions, then <G>
+    n_hyp, n_pos, n_keys = len(live), len(pos), len(keys)
+    grid = np.ix_(pos, keys)
+    tokens = np.empty((n_hyp, n_pos), dtype=np.int64)
+    edge_matrix = np.full((n_hyp, n_pos, n_hyp, n_keys), VIRTUAL, dtype=np.int64)
+    mask = np.zeros((n_hyp, n_pos, n_hyp, n_keys), dtype=bool)
+    for h, hyp in enumerate(live):
+        hyp_tokens, hyp_edges, hyp_mask = _layout(hyp.labels, hyp.edges)
+        tokens[h] = hyp_tokens[pos]
+        edge_matrix[h, :, h] = hyp_edges[grid]
+        mask[h, :, h] = hyp_mask[grid]
+    x = ad.embedding_gather(params[f"{prefix}.embed"], tokens.reshape(-1))
+    if cfg.use_positional_encoding:
+        x = ad.add(x, Tensor(np.tile(positional_encoding(2 * m + 1, cfg.width)[pos],
+                                     (n_hyp, 1))))
+    cached = [np.stack([hyp.cache[i] for hyp in live]) for i in range(cfg.layers)]
+    x, inputs = _layers(cfg, params, encoder_h, x, edge_matrix.reshape(n_hyp * n_pos, -1),
+                        mask.reshape(n_hyp * n_pos, -1), prefix, cached)
+    label_lp = ad.log_softmax_rows(affine(params, f"{prefix}.fl", x[n_pos - 1::n_pos])).data
+    if m == 0:
+        return label_lp, np.zeros((n_hyp, 0, 0)), [hyp.cache for hyp in live]
+    p_rows = affine(params, f"{prefix}.fp", x).data.reshape(n_hyp, n_pos, -1)
+    p_nodes = np.concatenate([np.stack([hyp.cache[-1] for hyp in live]), p_rows[:, :1]], axis=1)
+    edge_logits = _edge_logits(cfg, params, prefix, Tensor(np.repeat(p_rows[:, 1], m, axis=0)),
+                               Tensor(p_nodes.reshape(n_hyp * m, -1)))
+    edge_lp = ad.log_softmax_rows(edge_logits).data.reshape(n_hyp, m, -1)
+    node_m = [rows.data[::n_pos] for rows in inputs]   # node m's input row, per layer
+    caches = [tuple(np.concatenate([hyp.cache[i], node_m[i][h:h + 1]])
+                    for i in range(cfg.layers)) + (p_nodes[h],)
+              for h, hyp in enumerate(live)]
+    return label_lp, edge_lp, caches
+
+
+def _edge_config_beam(edge_lp: list[list[float]], width: int) -> list[tuple[tuple[int, ...], float]]:
     """Top configurations of one class per row, beam-pruned at each row.
 
     Rows are independent given the prefix, so the best configuration is the
@@ -361,15 +408,22 @@ def _edge_config_beam(edge_lp: np.ndarray, width: int) -> list[tuple[tuple[int, 
 
 def generate_beam(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor,
                   width: int, max_nodes: int, prefix: str = "dec") -> list[GeneratedGraph]:
-    """Beam search over joint (label, edge-classes) steps.
+    """Beam search over joint (label, edge-classes) steps; width 1 is greedy.
 
     Hypothesis scores accumulate the label log-probability plus every chosen
     edge-class log-probability. Pruning at each step ranks candidates by the
     score up to and including the label choice; the current step's edge-class
-    scores join the hypothesis immediately after selection. At width 1 this
-    reduces exactly to greedy decoding (edge-class distributions do not
-    depend on the label choice). Ties break by creation order, which follows
-    label/class index order, matching argmax.
+    scores join the hypothesis immediately after selection. Ties break by
+    creation order, which follows label/class index order, matching argmax.
+    Only real labels and <EOG> can be selected, so every returned graph
+    passes validation.
+
+    Each step decodes only the pending rows of all live hypotheses, in one
+    batched pass (_step): a node's per-layer states are final once it is
+    chosen, since node positions never attend to <G> and the mask is causal.
+    Candidates stay lazy (parent, label, classes) until they survive pruning;
+    a surviving child takes its parent's cache, extended by the parent's
+    newest node.
     """
     if width < 1:
         raise ContractError("beam width must be >= 1")
@@ -377,45 +431,40 @@ def generate_beam(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tens
     n_labels = params[f"{prefix}.embed"].shape[0]
     allowed = _allowed_labels(n_labels)
     real_labels = [i for i in range(n_labels) if allowed[i] and i != TOK_EOG]
-    live = [_Hypothesis(labels=(), edges=np.zeros((0, 0), dtype=np.int64), score=0.0, order=0)]
+    live = [_root(cfg)]
     finished: list[tuple[float, int, GeneratedGraph]] = []
     counter = 1
     with ad.no_grad():
         while live:
-            # (selection_key, order, finished_entry | live_hypothesis)
-            pool: list[tuple[float, int, GeneratedGraph | _Hypothesis]] = []
-            for hyp in live:
-                label_lp, edge_lp = _step_log_probs(cfg, params, encoder_h,
-                                                    hyp.labels, hyp.edges, prefix)
-                eog_score = hyp.score + label_lp[TOK_EOG]
-                if len(hyp.labels) == max_nodes:
-                    truncated = _argmax_allowed(label_lp, allowed) != TOK_EOG
-                    pool.append((eog_score, counter, GeneratedGraph(
-                        Graph(hyp.labels, hyp.edges), score=eog_score,
-                        truncated=truncated)))
-                    counter += 1
-                    continue
-                pool.append((eog_score, counter, GeneratedGraph(
-                    Graph(hyp.labels, hyp.edges), score=eog_score)))
+            label_lp, edge_lp, caches = _step(cfg, params, encoder_h, live, prefix)
+            # (selection_key, order, parent index, label, edge classes, config score);
+            # the <EOG> label finishes its parent
+            pool: list[tuple[float, int, int, int, tuple[int, ...], float]] = []
+            for h, hyp in enumerate(live):
+                pool.append((hyp.score + label_lp[h, TOK_EOG], counter, h, TOK_EOG, (), 0.0))
                 counter += 1
-                configs = _edge_config_beam(edge_lp, width)
+                if len(hyp.labels) == max_nodes:
+                    continue
+                configs = _edge_config_beam(edge_lp[h].tolist(), width)
                 for label in real_labels:
-                    selection = hyp.score + label_lp[label]
+                    selection = hyp.score + label_lp[h, label]
                     for classes, config_score in configs:
-                        child = _Hypothesis(
-                            labels=hyp.labels + (label,),
-                            edges=_extend_edges(
-                                hyp.edges, [edge_type_of_class(c) for c in classes]),
-                            score=selection + config_score,
-                            order=counter)
-                        pool.append((selection, counter, child))
+                        pool.append((selection, counter, h, label, classes, config_score))
                         counter += 1
             pool.sort(key=lambda entry: (-entry[0], entry[1]))
-            live = []
-            for _, order, item in pool[:width]:
-                if isinstance(item, GeneratedGraph):
-                    finished.append((item.score, order, item))
+            parents, live = live, []
+            for selection, order, h, label, classes, config_score in pool[:width]:
+                parent = parents[h]
+                if label == TOK_EOG:
+                    truncated = (len(parent.labels) == max_nodes
+                                 and _argmax_allowed(label_lp[h], allowed) != TOK_EOG)
+                    finished.append((selection, order, GeneratedGraph(
+                        Graph(parent.labels, parent.edges), score=selection,
+                        truncated=truncated)))
                 else:
-                    live.append(item)
+                    live.append(_Hypothesis(
+                        parent.labels + (label,),
+                        _extend_edges(parent.edges, [edge_type_of_class(c) for c in classes]),
+                        selection + config_score, caches[h]))
     finished.sort(key=lambda entry: (-entry[0], entry[1]))
     return [item for _, _, item in finished[:width]]

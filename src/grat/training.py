@@ -17,7 +17,7 @@ from .attention import EncoderConfig, encode, init_encoder_params, readout_cls
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import GraphDataset, TranslationDataset, load_dataset, split_indices
 from .decoder import (DecoderConfig, GeneratedGraph, build_decoder_batch,
-                      decode_forward, generate_beam, generate_greedy,
+                      decode_forward, generate_beam,
                       init_decoder_params, n_edge_classes)
 from .errors import CheckpointError, ContractError, DataError, NumericError
 from .graph import (Graph, EdgeTypeVocab, NodeLabelVocab, TOK_CLS, TOK_REACTANT,
@@ -200,10 +200,9 @@ class TranslationModel:
 
     def generate(self, srcs: list[Graph], beam_width: int, max_nodes: int
                  ) -> list[GeneratedGraph]:
+        """Beam search; at beam_width 1 it is greedy decoding, one graph."""
         with ad.no_grad():
             enc_h = encode(self.enc_cfg, self.params, self.source_input(srcs))
-            if beam_width == 1:
-                return [generate_greedy(self.dec_cfg, self.params, enc_h, max_nodes)]
             return generate_beam(self.dec_cfg, self.params, enc_h, beam_width, max_nodes)
 
 

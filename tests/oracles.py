@@ -2,7 +2,9 @@
 
 Every function here recomputes expected values by a route that shares no code
 with the library: scalar loops, high-precision arithmetic, brute-force
-enumeration, or central finite differences.
+enumeration, or central finite differences. The one exception is
+greedy_reference, which checks the cached search against the library's
+uncached teacher-forced pass.
 """
 
 from __future__ import annotations
@@ -10,6 +12,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from grat import autodiff as ad
+from grat import decoder as dec
+from grat.graph import Graph, TOK_EOG
 
 
 def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -78,3 +84,25 @@ def triangle_count_bruteforce(adjacency: np.ndarray) -> int:
                 if adjacency[i, j] and adjacency[j, k] and adjacency[i, k]:
                     count += 1
     return count
+
+
+def greedy_reference(cfg, params, memory, max_nodes) -> dec.GeneratedGraph:
+    """Uncached greedy decoding: every step re-decodes the whole prefix with
+    decode_forward, then takes the argmax label and the argmax class per
+    earlier node. A step adds (score + label) + edges, as the beam does."""
+    allowed = dec._allowed_labels(params["dec.embed"].shape[0])
+    labels, edges, score = (), np.zeros((0, 0), dtype=np.int64), 0.0
+    with ad.no_grad():
+        while True:
+            node_logits, edge_logits = dec.decode_forward(
+                cfg, params, memory, dec.build_decoder_batch(Graph(labels, edges)))
+            label_lp = ad.log_softmax_rows(node_logits).data[-1]
+            edge_lp = ad.log_softmax_rows(edge_logits).data[edge_logits.shape[0] - len(labels):]
+            choice = dec._argmax_allowed(label_lp, allowed)
+            if choice == TOK_EOG or len(labels) == max_nodes:
+                return dec.GeneratedGraph(Graph(labels, edges), score + label_lp[TOK_EOG],
+                                          truncated=choice != TOK_EOG)
+            classes = [int(np.argmax(r)) for r in edge_lp]
+            score = score + label_lp[choice] + sum(r[c] for r, c in zip(edge_lp, classes))
+            labels = labels + (choice,)
+            edges = dec._extend_edges(edges, [dec.edge_type_of_class(c) for c in classes])

@@ -25,7 +25,7 @@ from grat.graph import Graph, GraphPermutation
 from grat.training import (TranslationModel, config_from_dict, evaluate_property,
                            evaluate_translation, train)
 
-from oracles import finite_difference_grad, relative_error
+from oracles import finite_difference_grad, greedy_reference, relative_error
 
 FIRST_LABEL = len(gm.RESERVED_LABEL_NAMES)
 FIRST_EDGE = len(gm.RESERVED_EDGE_NAMES)
@@ -253,22 +253,29 @@ def test_criterion_5_permutation_invariance():
 def test_criterion_9_metrics_and_beam_width_one():
     ok_std = abs(obj.std_mae({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 2.0}) - 1.0) < 1e-12
     ok_log = abs(obj.log_mae({"a": math.e, "b": math.e}) - 1.0) < 1e-12
+    enc_cfg = att.EncoderConfig(layers=1, heads=2, width=16, ff_width=32, cond_hidden=4)
     dec_cfg = DecoderConfig(layers=1, heads=2, width=16, ff_width=32, cond_hidden=4,
                             pair_width=8, fe_hidden=16)
+    lv = gm.NodeLabelVocab(["A", "B", "C"])
+    ev = gm.EdgeTypeVocab(["single", "double"])
     agree = True
     for seed in range(100):
-        params = dec.init_decoder_params(dec_cfg, 11, 7,
-                                         np.random.default_rng(9000 + seed))
-        memory = Tensor(np.random.default_rng(9500 + seed).normal(size=(3, 16)))
-        greedy = dec.generate_greedy(dec_cfg, params, memory, max_nodes=4)
-        top = dec.generate_beam(dec_cfg, params, memory, width=1, max_nodes=4)[0]
-        if not (top.graph == greedy.graph and top.truncated == greedy.truncated
-                and abs(top.score - greedy.score) < 1e-12):
+        model = TranslationModel.build(enc_cfg, dec_cfg, lv, ev, seed=9000 + seed)
+        srcs = [random_source_graph(np.random.default_rng(9500 + seed), n=3)]
+        greedy = model.generate(srcs, 1, 4)[0]
+        with ad.no_grad():
+            memory = att.encode(enc_cfg, model.params, model.source_input(srcs))
+        top = dec.generate_beam(dec_cfg, model.params, memory, width=1, max_nodes=4)[0]
+        reference = greedy_reference(dec_cfg, model.params, memory, max_nodes=4)
+        if not (top.graph == greedy.graph == reference.graph
+                and top.truncated == greedy.truncated == reference.truncated
+                and top.score == greedy.score
+                and abs(top.score - reference.score) < 1e-9):
             agree = False
             break
     report(9, ok_std and ok_log and agree,
-           "stdMAE/logMAE worked examples exact; beam-1 identical to greedy on "
-           "100 random models")
+           "stdMAE/logMAE worked examples exact; beam-1 identical to greedy, score "
+           "included, and within 1e-9 of uncached greedy, on 100 random models")
 
 
 def test_criterion_10_format_round_trips(tmp_path):

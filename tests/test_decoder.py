@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 
 from grat import autodiff as ad
+from grat import data
 from grat import decoder as dec
 from grat import graph as gm
+from grat.attention import EncoderConfig, encode
 from grat.autodiff import Tensor
 from grat.decoder import DecoderConfig, build_decoder_batch, decode_forward
 from grat.errors import CapacityError, ContractError
 from grat.graph import Graph, NO_BOND, SELF, VIRTUAL, TOK_EOG, TOK_G
+from grat.training import RunConfig, TranslationModel
+from oracles import greedy_reference
 
 CFG = DecoderConfig(layers=2, heads=2, width=8, ff_width=16, cond_hidden=4,
                     pair_width=4, fe_hidden=8)
@@ -234,12 +238,36 @@ def teacher_forced_score(cfg, params, memory, target) -> float:
     batch = build_decoder_batch(target)
     with ad.no_grad():
         node_logits, edge_logits = decode_forward(cfg, params, memory, batch)
+    node_lp = ad.log_softmax_rows(node_logits).data
+    edge_lp = ad.log_softmax_rows(edge_logits).data
     total = 0.0
-    for row, t in zip(node_logits.data, batch.node_targets):
-        total += dec._log_softmax_np(row)[t]
-    for row, c in zip(edge_logits.data[:batch.n_target_pairs], batch.pair_target_classes):
-        total += dec._log_softmax_np(row)[c]
+    for row, t in zip(node_lp, batch.node_targets):
+        total += row[t]
+    for row, c in zip(edge_lp[:batch.n_target_pairs], batch.pair_target_classes):
+        total += row[c]
     return total
+
+
+def greedy(cfg, params, memory, max_nodes) -> dec.GeneratedGraph:
+    return dec.generate_beam(cfg, params, memory, width=1, max_nodes=max_nodes)[0]
+
+
+def assert_greedy_equals_beam_one(model, srcs, max_nodes):
+    """TranslationModel.generate at width 1 against generate_beam at width 1,
+    bit for bit, and both against the uncached greedy_reference: same graph
+    and truncated flag, score within 1e-9."""
+    top = model.generate(srcs, 1, max_nodes)
+    with ad.no_grad():
+        enc_h = encode(model.enc_cfg, model.params, model.source_input(srcs))
+    beam = dec.generate_beam(model.dec_cfg, model.params, enc_h, 1, max_nodes)
+    assert len(top) == len(beam) == 1
+    assert beam[0].graph == top[0].graph
+    assert beam[0].truncated == top[0].truncated
+    assert beam[0].score == top[0].score
+    reference = greedy_reference(model.dec_cfg, model.params, enc_h, max_nodes)
+    assert beam[0].graph == reference.graph
+    assert beam[0].truncated == reference.truncated
+    assert abs(beam[0].score - reference.score) < 1e-9
 
 
 class TestGeneration:
@@ -248,15 +276,14 @@ class TestGeneration:
         params["dec.fl.w"].data[:] = 0.0
         params["dec.fl.b"].data[:] = 0.0
         params["dec.fl.b"].data[TOK_EOG] = 50.0
-        out = dec.generate_greedy(CFG, params, random_memory(np.random.default_rng(13)),
-                                  max_nodes=8)
+        out = greedy(CFG, params, random_memory(np.random.default_rng(13)), max_nodes=8)
         assert out.graph.n == 0 and not out.truncated
 
     def test_generated_graph_always_validates(self):
         rng = np.random.default_rng(14)
         for seed in range(5):
             params = make_params(seed=seed)
-            out = dec.generate_greedy(CFG, params, random_memory(rng), max_nodes=6)
+            out = greedy(CFG, params, random_memory(rng), max_nodes=6)
             assert gm.validate(out.graph) == []
 
     def test_truncation_flag_on_cap(self):
@@ -264,21 +291,84 @@ class TestGeneration:
         params["dec.fl.w"].data[:] = 0.0
         params["dec.fl.b"].data[:] = 0.0
         params["dec.fl.b"].data[FIRST_LABEL] = 50.0  # never chooses <EOG>
-        out = dec.generate_greedy(CFG, params, random_memory(np.random.default_rng(16)),
-                                  max_nodes=3)
+        out = greedy(CFG, params, random_memory(np.random.default_rng(16)), max_nodes=3)
         assert out.truncated and out.graph.n == 3
 
     def test_beam_width_one_equals_greedy(self):
+        lv = gm.NodeLabelVocab(["A", "B", "C"])
+        ev = gm.EdgeTypeVocab(["single", "double"])
+        enc_cfg = EncoderConfig(layers=1, heads=2, width=CFG.width, ff_width=16, cond_hidden=4)
+        rng = np.random.default_rng(17)
+        for seed in range(10):
+            model = TranslationModel.build(enc_cfg, CFG, lv, ev, seed=100 + seed)
+            src = random_target(rng, k=int(rng.integers(1, 6)))
+            assert_greedy_equals_beam_one(model, [src], max_nodes=5)
+
+    def test_beam_width_one_equals_greedy_where_association_differed(self, tmp_path):
+        # the generate workloads' model at data seed 13: on source 1 the old
+        # greedy loop scored -0x1.05915f6d1bd30p+10 and beam width 1
+        # -0x1.05915f6d1bd2fp+10, since they added a step's terms in
+        # different orders
+        path = tmp_path / "sources.jsonl"
+        data.write_jsonl(path, data.gen_copy_dataset(64, 6, 4, 2, 13))
+        dataset = data.load_dataset(path)
+        cfg = RunConfig(task="translate", preset="desk")
+        model = TranslationModel.build(cfg.encoder_config(), cfg.decoder_config(),
+                                       dataset.label_vocab, dataset.edge_vocab, 13)
+        model.params["dec.fl.b"].data[TOK_EOG] = -1e3
+        assert_greedy_equals_beam_one(model, dataset.pairs[1][0], max_nodes=8)
+
+    def test_cached_greedy_matches_uncached_reference(self):
         rng = np.random.default_rng(17)
         for seed in range(10):
             params = make_params(seed=100 + seed)
             memory = random_memory(rng)
-            greedy = dec.generate_greedy(CFG, params, memory, max_nodes=5)
-            beam = dec.generate_beam(CFG, params, memory, width=1, max_nodes=5)
-            assert len(beam) == 1
-            assert beam[0].graph == greedy.graph
-            assert beam[0].truncated == greedy.truncated
-            assert abs(beam[0].score - greedy.score) < 1e-12
+            reference = greedy_reference(CFG, params, memory, max_nodes=5)
+            cached = greedy(CFG, params, memory, max_nodes=5)
+            assert cached.graph == reference.graph
+            assert cached.truncated == reference.truncated
+            assert abs(cached.score - reference.score) < 1e-9
+
+    def test_step_log_probs_match_decode_forward(self):
+        # several prefixes of one size share each batched step, so a leak
+        # across the block-diagonal key set would show as well
+        params = make_params(seed=24)
+        rng = np.random.default_rng(25)
+        worst = 0.0
+        with ad.no_grad():
+            for k in range(7):
+                memory = random_memory(rng)
+                targets = [random_target(rng, k=k) for _ in range(3)]
+                full = []
+                for t in targets:
+                    batch = build_decoder_batch(t)
+                    node_logits, edge_logits = decode_forward(CFG, params, memory, batch)
+                    full.append((batch, ad.log_softmax_rows(node_logits).data,
+                                 ad.log_softmax_rows(edge_logits).data))
+                live = [dec._root(CFG) for _ in targets]
+                for i in range(k + 1):
+                    label_lp, edge_lp, caches = dec._step(CFG, params, memory, live, "dec")
+                    assert edge_lp.shape[:2] == (len(targets), i)
+                    for h, (batch, node_ref, edge_ref) in enumerate(full):
+                        worst = max(worst, np.max(np.abs(label_lp[h] - node_ref[i])))
+                        if i:
+                            rows = edge_ref[batch.pair_steps == i]
+                            worst = max(worst, np.max(np.abs(edge_lp[h] - rows)))
+                    live = [dec._Hypothesis(t.labels[:i + 1], t.edges[:i + 1, :i + 1], 0.0,
+                                            caches[h]) for h, t in enumerate(targets)]
+        assert worst < 1e-9
+
+    def test_repeated_beam_decode_is_bitwise_identical(self):
+        params = make_params(seed=26)
+        memory = random_memory(np.random.default_rng(27))
+
+        def decode():
+            return [(r.graph.labels, r.graph.edges.tobytes(), r.score, r.truncated)
+                    for r in dec.generate_beam(CFG, params, memory, width=8, max_nodes=6)]
+
+        first = decode()
+        assert len(first) == 8
+        assert decode() == first
 
     def test_beam_scores_non_increasing(self):
         params = make_params(seed=18)
@@ -291,12 +381,12 @@ class TestGeneration:
         cfg = dataclasses.replace(CFG, max_context=9)  # 2*4+1: holds 4 nodes
         params = make_params(seed=22, cfg=cfg)
         memory = random_memory(np.random.default_rng(23))
-        dec.generate_greedy(cfg, params, memory, max_nodes=4)
+        greedy(cfg, params, memory, max_nodes=4)
         dec.generate_beam(cfg, params, memory, width=2, max_nodes=4)
         calls = []
-        monkeypatch.setattr(dec, "decode_forward", lambda *args, **kw: calls.append(args))
+        monkeypatch.setattr(dec, "_step", lambda *args, **kw: calls.append(args))
         with pytest.raises(CapacityError):
-            dec.generate_greedy(cfg, params, memory, max_nodes=5)
+            greedy(cfg, params, memory, max_nodes=5)
         with pytest.raises(CapacityError):
             dec.generate_beam(cfg, params, memory, width=2, max_nodes=5)
         assert calls == []
