@@ -10,6 +10,10 @@ softmaxed:
 One (gamma, beta) pair is produced per edge per layer and shared across all
 heads of that layer. The conditioner's output layer starts at zero, so
 training begins at exact vanilla attention (gamma = 1 + raw, beta = raw).
+
+All heads of a layer run as one autodiff op (autodiff.multi_head_attention):
+one batched matmul over the (heads, n, d_k) view of the projections, and a
+backward written by hand from the saved softmax weights.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import CapacityError, ContractError, DimensionError
+from .errors import CapacityError, ContractError
 from .graph import Graph, NO_BOND
 from .nn import affine, init_affine, init_embedding, init_layer_norm, positional_encoding
 
@@ -101,30 +105,6 @@ def neighbor_mask(edge_matrix: np.ndarray, neighbor_only: bool) -> np.ndarray:
     return np.ones(np.asarray(edge_matrix).shape, dtype=bool)
 
 
-def film_attention(q: Tensor, k: Tensor, v: Tensor, gamma: Tensor | None = None,
-                   beta: Tensor | None = None, mask: np.ndarray | None = None
-                   ) -> tuple[Tensor, Tensor]:
-    """Edge-modulated scaled dot-product attention.
-
-    Modulation is applied to the raw QK^T logits before the 1/sqrt(d_k)
-    scaling; with gamma and beta both None it is skipped, which is plain
-    scaled dot-product attention (the decoder's cross-attention). Masked
-    logits act as -inf; a fully-masked query row yields a zero output row
-    (detectable via ~mask.any(axis=-1)). Returns (output, weights) with the
-    post-softmax weights exposed for inspection.
-    """
-    if q.shape[1] != k.shape[1]:
-        raise DimensionError(f"query width {q.shape} != key width {k.shape}")
-    if k.shape[0] != v.shape[0]:
-        raise DimensionError(f"key count {k.shape} != value count {v.shape}")
-    logits = ad.matmul(q, ad.transpose(k))
-    if gamma is not None:
-        logits = ad.add(ad.mul(gamma, logits), beta)
-    scaled = ad.mul(logits, 1.0 / math.sqrt(q.shape[1]))
-    weights = ad.softmax_rows(scaled, mask=mask)
-    return ad.matmul(weights, v), weights
-
-
 def init_encoder_params(cfg: EncoderConfig, n_labels: int, n_edge_types: int,
                         rng: np.random.Generator, prefix: str = "enc") -> dict[str, Tensor]:
     params: dict[str, Tensor] = {}
@@ -144,27 +124,28 @@ def init_encoder_params(cfg: EncoderConfig, n_labels: int, n_edge_types: int,
     return params
 
 
+def project_keys_values(params: dict[str, Tensor], base: str, source: Tensor
+                        ) -> tuple[Tensor, Tensor]:
+    """Keys and values of the attention block at base, over the source rows."""
+    return affine(params, f"{base}.k", source), affine(params, f"{base}.v", source)
+
+
 def multi_head_film_attention(cfg, params: dict[str, Tensor], base: str, x: Tensor,
                               gamma: Tensor | None = None, beta: Tensor | None = None,
-                              mask: np.ndarray | None = None, memory: Tensor | None = None
-                              ) -> tuple[Tensor, list[Tensor]]:
-    """All heads of one layer; the (gamma, beta) pair is shared across heads.
+                              mask: np.ndarray | None = None, memory: Tensor | None = None,
+                              kv: tuple[Tensor, Tensor] | None = None
+                              ) -> tuple[Tensor, np.ndarray]:
+    """All heads of one layer as one op; the (gamma, beta) pair is shared
+    across heads. Returns the output rows and the (heads, n, nk) weights.
 
     Queries come from x; keys and values from memory when given (attention
-    onto the encoder output), otherwise from x itself.
+    onto the encoder output), otherwise from x itself, unless kv holds them
+    already projected.
     """
-    source = x if memory is None else memory
     q = affine(params, f"{base}.q", x)
-    k = affine(params, f"{base}.k", source)
-    v = affine(params, f"{base}.v", source)
-    dk = cfg.head_width
-    outs, weights = [], []
-    for h in range(cfg.heads):
-        cols = (slice(None), slice(h * dk, (h + 1) * dk))
-        out_h, w_h = film_attention(q[cols], k[cols], v[cols], gamma, beta, mask)
-        outs.append(out_h)
-        weights.append(w_h)
-    return affine(params, f"{base}.o", ad.concat(outs, axis=1)), weights
+    k, v = kv or project_keys_values(params, base, x if memory is None else memory)
+    out, weights = ad.multi_head_attention(q, k, v, cfg.heads, gamma, beta, mask)
+    return affine(params, f"{base}.o", out), weights
 
 
 def feed_forward(params: dict[str, Tensor], base: str, x: Tensor) -> Tensor:
@@ -179,8 +160,8 @@ def encode(cfg: EncoderConfig, params: dict[str, Tensor], g: Graph, prefix: str 
     configured, plus the sinusoidal positional encoding when enabled. Each
     layer is post-norm: x = LN(x + attn); x = LN(x + ff).
 
-    With collect_attention, also returns per-layer lists of per-head
-    post-softmax weight matrices.
+    With collect_attention, also returns per layer the post-softmax weights,
+    one (heads, n, n) array.
     """
     n = g.n
     if n == 0:

@@ -313,6 +313,22 @@ def embedding_gather(table: Tensor, ids) -> Tensor:
 # normalization / softmax
 
 
+def _softmax(x: np.ndarray, mask) -> np.ndarray:
+    """softmax_rows's arithmetic; a mask shaped like x's trailing axes broadcasts."""
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != x.shape[x.ndim - mask.ndim:]:
+            raise DimensionError(f"softmax mask shape {mask.shape} != input shape {x.shape}")
+        x = np.where(mask, x, -np.inf)
+    rowmax = np.max(x, axis=-1, keepdims=True)
+    rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)  # fully-masked rows
+    expd = np.exp(x - rowmax)
+    if mask is not None:
+        expd = np.where(mask, expd, 0.0)
+    denom = expd.sum(axis=-1, keepdims=True)
+    return np.divide(expd, denom, out=np.zeros_like(expd), where=denom > 0.0)
+
+
 def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Row softmax over the last axis, numerically stabilized.
 
@@ -321,26 +337,57 @@ def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     ``~mask.any(axis=-1)``.
     """
     x = _wrap(x)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != x.data.shape:
-            raise DimensionError(f"softmax mask shape {mask.shape} != input shape {x.data.shape}")
-        logits = np.where(mask, x.data, -np.inf)
-    else:
-        logits = x.data
-    rowmax = np.max(logits, axis=-1, keepdims=True)
-    rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)  # fully-masked rows
-    expd = np.exp(logits - rowmax)
-    if mask is not None:
-        expd = np.where(mask, expd, 0.0)
-    denom = expd.sum(axis=-1, keepdims=True)
-    data = np.divide(expd, denom, out=np.zeros_like(expd), where=denom > 0.0)
+    data = _softmax(x.data, mask)
 
     def bwd(g):
         inner = (g * data).sum(axis=-1, keepdims=True)
         _accumulate(x, (g - inner) * data)
 
     return _make(data, (x,), bwd)
+
+
+def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+                         gamma: Tensor | None = None, beta: Tensor | None = None,
+                         mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """All heads of edge-modulated scaled dot-product attention as one op.
+
+    q is (n, heads*dk), k (nk, heads*dk) and v (nk, heads*dv), each viewed as
+    (heads, rows, d). Per head, weights = softmax((gamma*QK^T + beta)/sqrt(dk))
+    with gamma, beta and mask (n, nk) shared by every head; with gamma and beta
+    both None the modulation is skipped. Masked weights are exactly 0 and a
+    fully masked row is a zero row. Returns the (n, heads*dv) output and the
+    (heads, n, nk) weights. The backward is written from the saved weights.
+    """
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    (n, width), nk = q.data.shape, k.data.shape[0]
+    if k.data.shape[1] != width or width % heads:
+        raise DimensionError(f"attention: query {q.data.shape} and key {k.data.shape} "
+                             f"widths do not split into {heads} equal heads")
+    if v.data.shape[0] != nk or v.data.shape[1] % heads:
+        raise DimensionError(f"attention: {v.data.shape} values for {k.data.shape} keys")
+    scale = 1.0 / np.sqrt(width // heads)
+    qh, kh, vh = (t.data.reshape(len(t.data), heads, -1).transpose(1, 0, 2) for t in (q, k, v))
+    logits = qh @ kh.transpose(0, 2, 1)
+    modulated = logits if gamma is None else gamma.data * logits + beta.data
+    weights = _softmax(modulated * scale, mask)
+
+    def bwd(g):
+        gh = g.reshape(n, heads, -1).transpose(1, 0, 2)
+        dweights = gh @ vh.transpose(0, 2, 1)
+        dmod = (dweights - (dweights * weights).sum(axis=-1, keepdims=True)) * weights * scale
+        dlogits = dmod if gamma is None else dmod * gamma.data
+        _accumulate(q, (dlogits @ kh).transpose(1, 0, 2).reshape(n, width))
+        # C order: on a column-major gradient the upstream matmul rounds differently
+        dkeys = np.ascontiguousarray((qh.transpose(0, 2, 1) @ dlogits).transpose(2, 0, 1))
+        _accumulate(k, dkeys.reshape(nk, width))
+        _accumulate(v, (weights.transpose(0, 2, 1) @ gh).transpose(1, 0, 2).reshape(nk, -1))
+        if gamma is not None:
+            _accumulate(gamma, (dmod * logits).sum(axis=0))
+            _accumulate(beta, dmod.sum(axis=0))
+
+    parents = (q, k, v) if gamma is None else (q, k, v, gamma, beta)
+    out = (weights @ vh).transpose(1, 0, 2).reshape(n, -1)
+    return _make(out, parents, bwd), weights
 
 
 def log_softmax_rows(x: Tensor) -> Tensor:

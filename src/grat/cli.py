@@ -20,8 +20,6 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import autodiff as ad
 from .attention import encode
 from .data import (gen_copy_dataset, gen_property_dataset, gen_relabel_dataset,
@@ -158,10 +156,7 @@ def dump_attention(model, g, layer: int, head: int | None, out_path):
     with ad.no_grad():
         _, collected = encode(model.enc_cfg, model.params, g, collect_attention=True)
     heads = collected[layer]
-    if head is not None:
-        weights = heads[head].data
-    else:
-        weights = np.mean([w.data for w in heads], axis=0)
+    weights = heads[head] if head is not None else heads.mean(axis=0)
     names = [model.label_vocab.name(lab) for lab in g.labels]
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -43,7 +43,7 @@ from .graph import (Graph, NO_BOND, SELF, VIRTUAL, N_RESERVED_EDGES, N_RESERVED_
                     TOK_EOG, TOK_G)
 from .nn import affine, init_affine, init_embedding, init_layer_norm, positional_encoding
 from .attention import (init_conditioner, edge_gamma_beta, multi_head_film_attention,
-                        feed_forward)
+                        feed_forward, project_keys_values)
 
 
 @dataclass(frozen=True)
@@ -200,11 +200,22 @@ def init_decoder_params(cfg: DecoderConfig, n_labels: int, n_edge_types: int,
     return params
 
 
-def _layers(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor, x: Tensor,
-            edge_matrix: np.ndarray, mask: np.ndarray, prefix: str,
+def _cross_keys_values(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor,
+                       prefix: str) -> list[tuple[Tensor, Tensor]]:
+    """Each layer's cross-attention keys and values: the encoder output is
+    fixed for a whole pass or generation request, so it is projected once."""
+    if encoder_h.shape[1] != cfg.width:
+        raise ContractError(
+            f"encoder width {encoder_h.shape[1]} != decoder width {cfg.width}")
+    return [project_keys_values(params, f"{prefix}.l{i}.cross", encoder_h)
+            for i in range(cfg.layers)]
+
+
+def _layers(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[Tensor, Tensor]],
+            x: Tensor, edge_matrix: np.ndarray, mask: np.ndarray, prefix: str,
             cached: list[np.ndarray] | None = None) -> tuple[Tensor, list[Tensor]]:
     """The decoder stack over the input rows x; returns the output rows and
-    each layer's input rows.
+    each layer's input rows. cross_kv is _cross_keys_values's output.
 
     Self-attention keys and values come from x itself. With cached (per
     layer, an (h, c, width) array: c constant rows for each of h equal groups
@@ -212,9 +223,6 @@ def _layers(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor, x:
     rows of x; edge_matrix and mask then have one column per key. The cached
     rows carry no gradient, so that path is for inference only.
     """
-    if encoder_h.shape[1] != cfg.width:
-        raise ContractError(
-            f"encoder width {encoder_h.shape[1]} != decoder width {cfg.width}")
     gammas, betas = edge_gamma_beta(params, f"{prefix}.cond", edge_matrix, cfg.layers)
     inputs = []
     for i in range(cfg.layers):
@@ -228,8 +236,7 @@ def _layers(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor, x:
         attn, _ = multi_head_film_attention(cfg, params, f"{base}.self", x,
                                             gammas[i], betas[i], mask, memory=keys)
         x = ad.layer_norm(ad.add(x, attn), params[f"{base}.ln1.g"], params[f"{base}.ln1.b"])
-        cross, _ = multi_head_film_attention(cfg, params, f"{base}.cross", x,
-                                             memory=encoder_h)
+        cross, _ = multi_head_film_attention(cfg, params, f"{base}.cross", x, kv=cross_kv[i])
         x = ad.layer_norm(ad.add(x, cross), params[f"{base}.ln2.g"], params[f"{base}.ln2.b"])
         ff = feed_forward(params, base, x)
         x = ad.layer_norm(ad.add(x, ff), params[f"{base}.ln3.g"], params[f"{base}.ln3.b"])
@@ -263,7 +270,8 @@ def decode_forward(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Ten
         x = ad.add(x, Tensor(positional_encoding(length, cfg.width)))
     if input_offsets is not None:
         x = ad.add(x, Tensor(input_offsets))
-    x, _ = _layers(cfg, params, encoder_h, x, batch.edge_matrix, batch.mask, prefix)
+    x, _ = _layers(cfg, params, _cross_keys_values(cfg, params, encoder_h, prefix), x,
+                   batch.edge_matrix, batch.mask, prefix)
 
     h_gen = x[np.arange(0, length, 2)]       # h'_i, one per step
     node_logits = affine(params, f"{prefix}.fl", h_gen)
@@ -346,7 +354,7 @@ def _root(cfg: DecoderConfig) -> _Hypothesis:
                        empty + (np.zeros((0, cfg.pair_width)),))
 
 
-def _step(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor,
+def _step(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[Tensor, Tensor]],
           live: list[_Hypothesis], prefix: str
           ) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, ...]]]:
     """Decode the pending rows of every live hypothesis in one pass.
@@ -375,7 +383,7 @@ def _step(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor,
         x = ad.add(x, Tensor(np.tile(positional_encoding(2 * m + 1, cfg.width)[pos],
                                      (n_hyp, 1))))
     cached = [np.stack([hyp.cache[i] for hyp in live]) for i in range(cfg.layers)]
-    x, inputs = _layers(cfg, params, encoder_h, x, edge_matrix.reshape(n_hyp * n_pos, -1),
+    x, inputs = _layers(cfg, params, cross_kv, x, edge_matrix.reshape(n_hyp * n_pos, -1),
                         mask.reshape(n_hyp * n_pos, -1), prefix, cached)
     label_lp = ad.log_softmax_rows(affine(params, f"{prefix}.fl", x[n_pos - 1::n_pos])).data
     if m == 0:
@@ -392,18 +400,25 @@ def _step(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor,
     return label_lp, edge_lp, caches
 
 
-def _edge_config_beam(edge_lp: list[list[float]], width: int) -> list[tuple[tuple[int, ...], float]]:
-    """Top configurations of one class per row, beam-pruned at each row.
+def _edge_config_beam(edge_lp: np.ndarray, width: int
+                      ) -> list[list[tuple[tuple[int, ...], float]]]:
+    """Per hypothesis of edge_lp (hypotheses, rows, classes), the top
+    configurations of one class per row, beam-pruned at each row.
 
     Rows are independent given the prefix, so the best configuration is the
-    per-row argmax; stable sorting keeps class-index order on ties.
+    per-row argmax. Each row expands every kept configuration by every class
+    in (configuration, class) order; stable sorting keeps that order on ties.
     """
-    configs: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
-    for row in edge_lp:
-        expanded = [(cfg + (c,), s + row[c]) for cfg, s in configs for c in range(len(row))]
-        expanded.sort(key=lambda cs: -cs[1])
-        configs = expanded[:width]
-    return configs
+    n_hyp, n_rows, n_classes = edge_lp.shape
+    hyp = np.arange(n_hyp)[:, None]
+    scores, classes = np.zeros((n_hyp, 1)), np.zeros((n_hyp, 1, n_rows), dtype=np.int64)
+    for r in range(n_rows):
+        expanded = (scores[:, :, None] + edge_lp[:, None, r]).reshape(n_hyp, -1)
+        keep = np.argsort(-expanded, axis=1, kind="stable")[:, :width]
+        parent, c = np.divmod(keep, n_classes)
+        scores, classes = expanded[hyp, keep], classes[hyp, parent]
+        classes[:, :, r] = c
+    return [list(zip(map(tuple, cls), s)) for cls, s in zip(classes.tolist(), scores.tolist())]
 
 
 def generate_beam(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor,
@@ -435,20 +450,22 @@ def generate_beam(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tens
     finished: list[tuple[float, int, GeneratedGraph]] = []
     counter = 1
     with ad.no_grad():
+        cross_kv = _cross_keys_values(cfg, params, encoder_h, prefix)
         while live:
-            label_lp, edge_lp, caches = _step(cfg, params, encoder_h, live, prefix)
+            label_lp, edge_lp, caches = _step(cfg, params, cross_kv, live, prefix)
             # (selection_key, order, parent index, label, edge classes, config score);
             # the <EOG> label finishes its parent
             pool: list[tuple[float, int, int, int, tuple[int, ...], float]] = []
+            full = len(live[0].labels) == max_nodes  # live prefixes all have the same size
+            configs = [] if full else _edge_config_beam(edge_lp, width)
             for h, hyp in enumerate(live):
                 pool.append((hyp.score + label_lp[h, TOK_EOG], counter, h, TOK_EOG, (), 0.0))
                 counter += 1
-                if len(hyp.labels) == max_nodes:
+                if full:
                     continue
-                configs = _edge_config_beam(edge_lp[h].tolist(), width)
                 for label in real_labels:
                     selection = hyp.score + label_lp[h, label]
-                    for classes, config_score in configs:
+                    for classes, config_score in configs[h]:
                         pool.append((selection, counter, h, label, classes, config_score))
                         counter += 1
             pool.sort(key=lambda entry: (-entry[0], entry[1]))

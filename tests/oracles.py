@@ -2,9 +2,14 @@
 
 Every function here recomputes expected values by a route that shares no code
 with the library: scalar loops, high-precision arithmetic, brute-force
-enumeration, or central finite differences. The one exception is
-greedy_reference, which checks the cached search against the library's
-uncached teacher-forced pass.
+enumeration, or central finite differences. There are two exceptions, each
+built from the library's own elementary ops:
+  - greedy_reference checks the cached search against the library's uncached
+    teacher-forced pass;
+  - film_attention and multi_head_film_reference rebuild attention one head at
+    a time from matmul, transpose, mul, add and softmax_rows, with the tape
+    deriving the backward, to check the fused all-heads op and its hand-written
+    backward.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import numpy as np
 
 from grat import autodiff as ad
 from grat import decoder as dec
+from grat.autodiff import Tensor
 from grat.graph import Graph, TOK_EOG
 
 
@@ -106,3 +112,31 @@ def greedy_reference(cfg, params, memory, max_nodes) -> dec.GeneratedGraph:
             score = score + label_lp[choice] + sum(r[c] for r, c in zip(edge_lp, classes))
             labels = labels + (choice,)
             edges = dec._extend_edges(edges, [dec.edge_type_of_class(c) for c in classes])
+
+
+def film_attention(q: Tensor, k: Tensor, v: Tensor, gamma: Tensor | None = None,
+                   beta: Tensor | None = None, mask: np.ndarray | None = None
+                   ) -> tuple[Tensor, Tensor]:
+    """One head of edge-modulated scaled dot-product attention, op by op:
+    softmax((gamma * QK^T + beta) / sqrt(d_k)) V, modulation skipped when
+    gamma and beta are None. Returns (output, weights)."""
+    logits = ad.matmul(q, ad.transpose(k))
+    if gamma is not None:
+        logits = ad.add(ad.mul(gamma, logits), beta)
+    weights = ad.softmax_rows(ad.mul(logits, 1.0 / math.sqrt(q.shape[1])), mask=mask)
+    return ad.matmul(weights, v), weights
+
+
+def multi_head_film_reference(q: Tensor, k: Tensor, v: Tensor, heads: int,
+                              gamma: Tensor | None = None, beta: Tensor | None = None,
+                              mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """The per-head loop: slice each head's columns, run film_attention on
+    them with the shared (gamma, beta, mask), concatenate the outputs."""
+    dk, dv = q.shape[1] // heads, v.shape[1] // heads
+    outs, weights = [], []
+    for h in range(heads):
+        out, w = film_attention(q[:, h * dk:(h + 1) * dk], k[:, h * dk:(h + 1) * dk],
+                                v[:, h * dv:(h + 1) * dv], gamma, beta, mask)
+        outs.append(out)
+        weights.append(w.data)
+    return ad.concat(outs, axis=1), np.stack(weights)

@@ -25,7 +25,8 @@ from grat.graph import Graph, GraphPermutation
 from grat.training import (TranslationModel, config_from_dict, evaluate_property,
                            evaluate_translation, train)
 
-from oracles import finite_difference_grad, greedy_reference, relative_error
+from oracles import (finite_difference_grad, greedy_reference, multi_head_film_reference,
+                     relative_error)
 
 FIRST_LABEL = len(gm.RESERVED_LABEL_NAMES)
 FIRST_EDGE = len(gm.RESERVED_EDGE_NAMES)
@@ -58,7 +59,7 @@ def random_source_graph(rng, n=5, n_labels=3, n_edge_types=2):
 
 def _mini_network(params, mask):
     """One forward touching every tensor op in the engine."""
-    x, w1, b1, gain, bias, w2, table = params
+    x, w1, b1, gain, bias, w2, table, gamma, beta = params
     h = ad.tanh(ad.add(ad.matmul(x, w1), b1))
     h = ad.layer_norm(h, gain, bias)
     h = ad.relu(ad.add(h, 0.3))
@@ -66,6 +67,8 @@ def _mini_network(params, mask):
     h = ad.concat([h, rows], axis=0)
     attw = ad.softmax_rows(ad.matmul(h, ad.transpose(h)), mask=mask)
     h = ad.mul(ad.matmul(attw, h), w2)
+    film, _ = ad.multi_head_attention(h, ad.tanh(h), ad.sub(h, 0.2), 2, gamma, beta, mask)
+    h = ad.add(h, film)
     top = ad.reshape(h[0:2], (2 * h.shape[1],))
     ls = ad.log_softmax_rows(ad.matmul(h, ad.transpose(ad.sub(h, 0.1))))
     return ad.add(ad.add(ad.mean(ad.absolute(top)), ad.sum_(ls)), ad.mean(h, axis=0)[1])
@@ -74,7 +77,8 @@ def _mini_network(params, mask):
 def test_criterion_1_gradient_oracle():
     start = time.time()
     worst = 0.0
-    # 20 random mini-networks covering every op
+    # 20 random mini-networks covering every op, the fused attention op with
+    # non-identity FiLM among them
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         d = 4
@@ -86,6 +90,8 @@ def test_criterion_1_gradient_oracle():
             Tensor(rng.normal(size=d) * 0.1, requires_grad=True),
             Tensor(rng.uniform(0.5, 1.5, size=(6, d)), requires_grad=True),
             Tensor(rng.normal(size=(3, d)), requires_grad=True),
+            Tensor(rng.uniform(0.5, 1.5, size=(6, 6)), requires_grad=True),
+            Tensor(rng.normal(size=(6, 6)) * 0.5, requires_grad=True),
         )
         mask = rng.random((6, 6)) > 0.2
         mask[:, 0] = True
@@ -133,22 +139,26 @@ def test_criterion_1_gradient_oracle():
 
 def test_criterion_2_identity_film_bitwise():
     rng = np.random.default_rng(2)
-    all_equal = True
+    all_equal, worst = True, 0.0
     for _ in range(100):
+        heads = int(rng.choice([1, 2, 4]))
         nq, nk = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         dk = int(rng.integers(1, 9))
-        q = Tensor(rng.normal(size=(nq, dk)))
-        k = Tensor(rng.normal(size=(nk, dk)))
-        v = Tensor(rng.normal(size=(nk, int(rng.integers(1, 9)))))
+        q = Tensor(rng.normal(size=(nq, heads * dk)))
+        k = Tensor(rng.normal(size=(nk, heads * dk)))
+        v = Tensor(rng.normal(size=(nk, heads * int(rng.integers(1, 9)))))
         mask = rng.random((nq, nk)) > 0.25 if rng.random() < 0.5 else None
-        filmed, fw = att.film_attention(q, k, v, Tensor(np.ones((nq, nk))),
-                                        Tensor(np.zeros((nq, nk))), mask)
-        plain, pw = att.film_attention(q, k, v, mask=mask)
-        if not (np.array_equal(filmed.data, plain.data)
-                and np.array_equal(fw.data, pw.data)):
+        filmed, fw = ad.multi_head_attention(q, k, v, heads, Tensor(np.ones((nq, nk))),
+                                             Tensor(np.zeros((nq, nk))), mask)
+        plain, pw = ad.multi_head_attention(q, k, v, heads, mask=mask)
+        reference, _ = multi_head_film_reference(q, k, v, heads, mask=mask)
+        worst = max(worst, float(np.max(np.abs(plain.data - reference.data))))
+        if not (np.array_equal(filmed.data, plain.data) and np.array_equal(fw, pw)):
             all_equal = False
             break
-    report(2, all_equal, "identity FiLM bitwise equal to plain attention, 100 cases")
+    report(2, all_equal and worst < 1e-12,
+           f"identity FiLM bitwise equal to plain attention in the fused op, 100 cases; "
+           f"plain within {worst:.1e} of the per-head reference")
 
 
 def test_criterion_3_two_path_equivalence():

@@ -9,10 +9,11 @@ from grat import autodiff as ad
 from grat import graph as gm
 from grat.attention import EncoderConfig
 from grat.autodiff import Tensor
-from grat.errors import CapacityError, ContractError
+from grat.errors import CapacityError, ContractError, DimensionError
 from grat.graph import Graph, GraphPermutation, NO_BOND, SELF, TOK_CLS, VIRTUAL
 
-from oracles import finite_difference_grad, relative_error, softmax_row_highprec
+from oracles import (finite_difference_grad, multi_head_film_reference, relative_error,
+                     softmax_row_highprec)
 
 CFG = EncoderConfig(layers=2, heads=2, width=8, ff_width=16, cond_hidden=4)
 
@@ -82,21 +83,83 @@ class TestConditioner:
             att.edge_gamma_beta(params, "enc.cond", np.array([[2, 99], [99, 2]]), CFG.layers)
 
 
+def fused_and_reference(rng, heads, nq, nk, film=True, mask=None, dk=3, dv=2):
+    """Forward and every input gradient of the fused op and of the per-head
+    reference, on random inputs and a random upstream gradient."""
+    inputs = [Tensor(rng.normal(size=shape), requires_grad=True)
+              for shape in ((nq, heads * dk), (nk, heads * dk), (nk, heads * dv))]
+    if film:
+        inputs += [Tensor(rng.uniform(0.5, 1.5, size=(nq, nk)), requires_grad=True),
+                   Tensor(rng.normal(size=(nq, nk)), requires_grad=True)]
+    upstream = Tensor(rng.normal(size=(nq, heads * dv)))
+    results = []
+    for fn in (ad.multi_head_attention, multi_head_film_reference):
+        for t in inputs:
+            t.grad = None
+        out, weights = fn(*inputs[:3], heads, *inputs[3:], mask=mask)
+        ad.backward(ad.sum_(ad.mul(out, upstream)))
+        results.append([out.data, weights] + [t.grad for t in inputs])
+    return results
+
+
 class TestFilmAttention:
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("film", [True, False])
+    def test_matches_per_head_reference(self, heads, film):
+        rng = np.random.default_rng(21 + heads)
+        for nq, nk in ((4, 4), (3, 7), (5, 2)):
+            mask = rng.random((nq, nk)) > 0.3
+            mask[0] = False  # a fully masked row
+            for m in (None, mask):
+                fused, reference = fused_and_reference(rng, heads, nq, nk, film, m)
+                for got, expect in zip(fused, reference):
+                    assert got.shape == expect.shape
+                    assert np.max(np.abs(got - expect)) < 1e-12
+
+    def test_fully_masked_query_row_is_zero(self):
+        rng = np.random.default_rng(25)
+        mask = np.array([[False, False, False], [True, False, True]])
+        (out, weights, dq, *_), _ = fused_and_reference(rng, 2, 2, 3, mask=mask)
+        assert np.array_equal(out[0], np.zeros(4))
+        assert np.array_equal(weights[:, 0], np.zeros((2, 3)))
+        assert np.array_equal(dq[0], np.zeros(6))
+        assert np.array_equal(weights[:, 1] == 0.0, np.broadcast_to(~mask[1], (2, 3)))
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(26)
+        mask = rng.random((3, 5)) > 0.3
+        mask[:, 0] = True
+        q, k, v = (Tensor(rng.normal(size=(r, 8)), requires_grad=True) for r in (3, 5, 5))
+        gamma = Tensor(rng.uniform(0.5, 1.5, size=(3, 5)), requires_grad=True)
+        beta = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        upstream = rng.normal(size=(3, 8))
+
+        def loss():
+            out, _ = ad.multi_head_attention(q, k, v, 4, gamma, beta, mask)
+            return ad.sum_(ad.mul(out, Tensor(upstream)))
+
+        ad.backward(loss())
+        for t in (q, k, v, gamma, beta):
+            idx = [np.unravel_index(i, t.shape) for i in range(t.data.size)]
+            fd = finite_difference_grad(lambda: loss().item(), t.data, idx)
+            for i, expect in fd.items():
+                assert relative_error(t.grad[i], expect) <= 1e-6
+
     def test_identity_film_bitwise_equal_to_plain(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
+            heads = int(rng.choice([1, 2, 4]))
             nq, nk, dk = rng.integers(1, 6), rng.integers(1, 6), int(rng.integers(1, 8))
-            q = Tensor(rng.normal(size=(nq, dk)))
-            k = Tensor(rng.normal(size=(nk, dk)))
-            v = Tensor(rng.normal(size=(nk, dk)))
+            q = Tensor(rng.normal(size=(nq, heads * dk)))
+            k = Tensor(rng.normal(size=(nk, heads * dk)))
+            v = Tensor(rng.normal(size=(nk, heads * dk)))
             mask = rng.random((nq, nk)) > 0.2 if rng.random() < 0.5 else None
             ones = Tensor(np.ones((nq, nk)))
             zeros = Tensor(np.zeros((nq, nk)))
-            filmed, fw = att.film_attention(q, k, v, ones, zeros, mask)
-            plain, pw = att.film_attention(q, k, v, mask=mask)
+            filmed, fw = ad.multi_head_attention(q, k, v, heads, ones, zeros, mask)
+            plain, pw = ad.multi_head_attention(q, k, v, heads, mask=mask)
             assert np.array_equal(filmed.data, plain.data)
-            assert np.array_equal(fw.data, pw.data)
+            assert np.array_equal(fw, pw)
 
     def test_single_surviving_key_returns_its_value(self):
         rng = np.random.default_rng(6)
@@ -105,7 +168,7 @@ class TestFilmAttention:
         v = Tensor(rng.normal(size=(3, 4)))
         mask = np.array([[False, True, False], [False, False, True]])
         ones, zeros = Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 3)))
-        out, _ = att.film_attention(q, k, v, ones, zeros, mask)
+        out, _ = ad.multi_head_attention(q, k, v, 2, ones, zeros, mask)
         assert np.allclose(out.data[0], v.data[1], atol=0)
         assert np.allclose(out.data[1], v.data[2], atol=0)
 
@@ -115,22 +178,21 @@ class TestFilmAttention:
         v = Tensor(np.eye(3))
         gamma = Tensor([[1.5, 1.0, 0.5], [2.0, 1.0, 1.0]])
         beta = Tensor([[0.1, -0.2, 0.0], [0.0, 0.3, -0.1]])
-        _, weights = att.film_attention(q, k, v, gamma, beta)
+        _, weights = ad.multi_head_attention(q, k, v, 1, gamma, beta)
         logits = q.data @ k.data.T
         modulated = (gamma.data * logits + beta.data) / np.sqrt(2.0)
         for r in range(2):
             expect = softmax_row_highprec(modulated[r])
-            assert np.max(np.abs(weights.data[r] - expect)) < 1e-12
+            assert np.max(np.abs(weights[0, r] - expect)) < 1e-12
 
-    def test_fully_masked_query_row_is_zero(self):
-        q = Tensor(np.ones((2, 3)))
-        kv = Tensor(np.ones((2, 3)))
-        mask = np.array([[False, False], [True, True]])
-        ones, zeros = Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 2)))
-        out, w = att.film_attention(q, kv, kv, ones, zeros, mask)
-        assert np.array_equal(out.data[0], np.zeros(3))
-        assert not np.any(np.isnan(out.data))
-        assert ~mask[0].any()
+    def test_heads_must_split_the_widths(self):
+        q, k = Tensor(np.ones((2, 6))), Tensor(np.ones((3, 6)))
+        with pytest.raises(DimensionError):
+            ad.multi_head_attention(q, k, Tensor(np.ones((3, 6))), 4)
+        with pytest.raises(DimensionError):
+            ad.multi_head_attention(q, k, Tensor(np.ones((3, 5))), 2)
+        with pytest.raises(DimensionError):
+            ad.multi_head_attention(q, k, Tensor(np.ones((2, 6))), 2)
 
 
 class TestNeighborMask:
@@ -204,9 +266,10 @@ class TestEncode:
         g = gm.graph_from_edge_list([8, 9, 8, 10], [(0, 1, 5), (1, 2, 6), (2, 3, 5)])
         _, collected = att.encode(cfg, params, g, collect_attention=True)
         for layer_ws in collected:
+            assert layer_ws.shape == (cfg.heads, g.n, g.n)
             for w in layer_ws:
-                assert np.max(np.abs(w.data.sum(axis=-1) - 1.0)) < 1e-12
-                assert w.data[0, 2] == 0.0 and w.data[0, 3] == 0.0
+                assert np.max(np.abs(w.sum(axis=-1) - 1.0)) < 1e-12
+                assert w[0, 2] == 0.0 and w[0, 3] == 0.0
 
 
 class TestReadout:

@@ -2,6 +2,7 @@
 parallel/sequential equivalence, causality, and greedy/beam generation."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -248,6 +249,18 @@ def teacher_forced_score(cfg, params, memory, target) -> float:
     return total
 
 
+def tuple_config_beam(rows, width):
+    """Reference edge-configuration beam, one hypothesis at a time: every kept
+    configuration times every class, as Python tuples in creation order,
+    stably sorted by score and cut to width."""
+    configs = [((), 0.0)]
+    for row in rows:
+        expanded = [(cfg + (c,), s + row[c]) for cfg, s in configs for c in range(len(row))]
+        expanded.sort(key=lambda cs: -cs[1])
+        configs = expanded[:width]
+    return configs
+
+
 def greedy(cfg, params, memory, max_nodes) -> dec.GeneratedGraph:
     return dec.generate_beam(cfg, params, memory, width=1, max_nodes=max_nodes)[0]
 
@@ -346,8 +359,9 @@ class TestGeneration:
                     full.append((batch, ad.log_softmax_rows(node_logits).data,
                                  ad.log_softmax_rows(edge_logits).data))
                 live = [dec._root(CFG) for _ in targets]
+                cross_kv = dec._cross_keys_values(CFG, params, memory, "dec")
                 for i in range(k + 1):
-                    label_lp, edge_lp, caches = dec._step(CFG, params, memory, live, "dec")
+                    label_lp, edge_lp, caches = dec._step(CFG, params, cross_kv, live, "dec")
                     assert edge_lp.shape[:2] == (len(targets), i)
                     for h, (batch, node_ref, edge_ref) in enumerate(full):
                         worst = max(worst, np.max(np.abs(label_lp[h] - node_ref[i])))
@@ -390,6 +404,29 @@ class TestGeneration:
         with pytest.raises(CapacityError):
             dec.generate_beam(cfg, params, memory, width=2, max_nodes=5)
         assert calls == []
+
+    @pytest.mark.parametrize("width", [1, 3, 8])
+    def test_edge_config_beam_matches_exhaustive_enumeration(self, width):
+        # rows are independent, so pruning each row to `width` keeps the
+        # overall top `width`; scores sum the rows left to right
+        rng = np.random.default_rng(40 + width)
+        for n_hyp, n_rows, n_classes in ((1, 0, 3), (1, 4, 3), (3, 3, 2), (8, 5, 3)):
+            edge_lp = np.log(rng.dirichlet(np.ones(n_classes), size=(n_hyp, n_rows)))
+            got = dec._edge_config_beam(edge_lp, width)
+            assert len(got) == n_hyp
+            for rows, configs in zip(edge_lp, got):
+                scored = []
+                for classes in itertools.product(range(n_classes), repeat=n_rows):
+                    score = 0.0
+                    for row, c in zip(rows, classes):
+                        score += float(row[c])
+                    scored.append((-score, classes))
+                expect = [(classes, -neg) for neg, classes in sorted(scored)[:width]]
+                assert configs == expect
+            # tied scores keep the order in which each row creates them
+            tied = np.round(edge_lp, 1)
+            assert dec._edge_config_beam(tied, width) == [
+                tuple_config_beam(rows, width) for rows in tied.tolist()]
 
     def test_beam_width_zero_rejected(self):
         params = make_params(seed=20)
