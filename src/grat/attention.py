@@ -13,7 +13,8 @@ training begins at exact vanilla attention (gamma = 1 + raw, beta = raw).
 
 All heads of a layer run as one autodiff op (autodiff.multi_head_attention):
 one batched matmul over the (heads, n, d_k) view of the projections, and a
-backward written by hand from the saved softmax weights.
+backward written by hand from the saved softmax weights. The op also takes a
+batch axis, so encode_batch runs a whole padded mini-batch of graphs at once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import CapacityError, ContractError
-from .graph import Graph, NO_BOND
+from .graph import Graph, NO_BOND, TOK_PAD
 from .nn import affine, init_affine, init_embedding, init_layer_norm, positional_encoding
 
 
@@ -136,7 +137,8 @@ def multi_head_film_attention(cfg, params: dict[str, Tensor], base: str, x: Tens
                               kv: tuple[Tensor, Tensor] | None = None
                               ) -> tuple[Tensor, np.ndarray]:
     """All heads of one layer as one op; the (gamma, beta) pair is shared
-    across heads. Returns the output rows and the (heads, n, nk) weights.
+    across heads. Returns the output rows and the weights, (heads, n, nk), or
+    (B, heads, n, nk) for a batch of sequences (see ad.multi_head_attention).
 
     Queries come from x; keys and values from memory when given (attention
     onto the encoder output), otherwise from x itself, unless kv holds them
@@ -152,42 +154,68 @@ def feed_forward(params: dict[str, Tensor], base: str, x: Tensor) -> Tensor:
     return affine(params, f"{base}.ff2", ad.relu(affine(params, f"{base}.ff1", x)))
 
 
-def encode(cfg: EncoderConfig, params: dict[str, Tensor], g: Graph, prefix: str = "enc",
-           collect_attention: bool = False):
-    """Run the encoder stack over a graph; returns node representations (n, d).
+def encode_batch(cfg: EncoderConfig, params: dict[str, Tensor], graphs: list[Graph],
+                 prefix: str = "enc", collect_attention: bool = False):
+    """Run the encoder stack over a batch of graphs in one padded pass.
+
+    With n the largest graph's node count, returns (B*n, d) rows: graph b's
+    nodes are rows b*n .. b*n + g.n - 1, and the rows after them are padding
+    (TOK_PAD labels, NO_BOND edges). Padding rows and columns are masked out
+    of every attention, so a graph's rows do not depend on the rest of the
+    batch and padding rows receive exactly zero gradient.
 
     Input embedding is the label embedding, plus projected node features when
-    configured, plus the sinusoidal positional encoding when enabled. Each
-    layer is post-norm: x = LN(x + attn); x = LN(x + ff).
+    configured, plus the sinusoidal positional encoding (per graph) when
+    enabled. Each layer is post-norm: x = LN(x + attn); x = LN(x + ff).
 
     With collect_attention, also returns per layer the post-softmax weights,
-    one (heads, n, n) array.
+    one (B, heads, n, n) array.
     """
-    n = g.n
-    if n == 0:
-        raise ContractError("cannot encode an empty graph")
-    if n > cfg.max_context:
-        raise CapacityError(f"graph has {n} nodes, encoder context limit is {cfg.max_context}")
-    x = ad.embedding_gather(params[f"{prefix}.embed"], np.asarray(g.labels, dtype=np.int64))
-    if cfg.node_feature_dim:
-        if g.node_features is None or g.node_features.shape[1] != cfg.node_feature_dim:
+    if not graphs:
+        raise ContractError("cannot encode an empty batch")
+    for g in graphs:
+        if g.n == 0:
+            raise ContractError("cannot encode an empty graph")
+        if g.n > cfg.max_context:
+            raise CapacityError(
+                f"graph has {g.n} nodes, encoder context limit is {cfg.max_context}")
+        if cfg.node_feature_dim and (g.node_features is None
+                                     or g.node_features.shape[1] != cfg.node_feature_dim):
             raise ContractError(
                 f"encoder expects node features of width {cfg.node_feature_dim}")
-        x = ad.add(x, affine(params, f"{prefix}.feat", Tensor(g.node_features)))
+    sizes = np.array([g.n for g in graphs])
+    batch, n = len(graphs), int(sizes.max())
+    labels = np.full((batch, n), TOK_PAD, dtype=np.int64)
+    edges = np.full((batch, n, n), NO_BOND, dtype=np.int64)
+    for b, g in enumerate(graphs):
+        labels[b, :g.n] = g.labels
+        edges[b, :g.n, :g.n] = g.edges
+    x = ad.embedding_gather(params[f"{prefix}.embed"], labels.reshape(-1))
+    if cfg.node_feature_dim:
+        feats = np.zeros((batch, n, cfg.node_feature_dim))
+        for b, g in enumerate(graphs):
+            feats[b, :g.n] = g.node_features
+        x = ad.add(x, affine(params, f"{prefix}.feat", Tensor(feats.reshape(batch * n, -1))))
     if cfg.use_positional_encoding:
-        x = ad.add(x, Tensor(positional_encoding(n, cfg.width)))
-    edge_features = g.edge_features if cfg.edge_feature_dim else None
-    gammas, betas = edge_gamma_beta(params, f"{prefix}.cond", g.edges, cfg.layers,
-                                    edge_features)
-    mask = neighbor_mask(g.edges, cfg.neighbor_only)
+        x = ad.add(x, Tensor(np.tile(positional_encoding(n, cfg.width), (batch, 1))))
+    edge_features = None
+    if cfg.edge_feature_dim:
+        # a graph without edge features contributes zeros, which adds nothing
+        edge_features = np.zeros((batch, n, n, cfg.edge_feature_dim))
+        for b, g in enumerate(graphs):
+            if g.edge_features is not None:
+                edge_features[b, :g.n, :g.n] = g.edge_features
+    gammas, betas = edge_gamma_beta(params, f"{prefix}.cond", edges, cfg.layers, edge_features)
+    real = np.arange(n) < sizes[:, None]
+    mask = neighbor_mask(edges, cfg.neighbor_only) & real[:, :, None] & real[:, None, :]
     collected = []
     for i in range(cfg.layers):
         base = f"{prefix}.l{i}"
         attn, head_weights = multi_head_film_attention(
             cfg, params, base, x, gammas[i], betas[i], mask)
-        x = ad.layer_norm(ad.add(x, attn), params[f"{base}.ln1.g"], params[f"{base}.ln1.b"])
+        x = ad.layer_norm(x, params[f"{base}.ln1.g"], params[f"{base}.ln1.b"], residual=attn)
         ff = feed_forward(params, base, x)
-        x = ad.layer_norm(ad.add(x, ff), params[f"{base}.ln2.g"], params[f"{base}.ln2.b"])
+        x = ad.layer_norm(x, params[f"{base}.ln2.g"], params[f"{base}.ln2.b"], residual=ff)
         if collect_attention:
             collected.append(head_weights)
     if collect_attention:
@@ -195,6 +223,21 @@ def encode(cfg: EncoderConfig, params: dict[str, Tensor], g: Graph, prefix: str 
     return x
 
 
-def readout_cls(h: Tensor) -> Tensor:
-    """Graph-level vector: the final representation of the prepended token."""
-    return h[0]
+def encode(cfg: EncoderConfig, params: dict[str, Tensor], g: Graph, prefix: str = "enc",
+           collect_attention: bool = False):
+    """encode_batch of one graph: its (n, d) node representations, and with
+    collect_attention the per-layer (heads, n, n) weights."""
+    out = encode_batch(cfg, params, [g], prefix, collect_attention)
+    if collect_attention:
+        h, collected = out
+        return h, [weights[0] for weights in collected]
+    return out
+
+
+def readout_cls(h: Tensor, rows: int | None = None) -> Tensor:
+    """Graph-level vector: the final representation of the prepended token.
+
+    With rows, h holds graphs of that many (padded) rows each, as encode_batch
+    returns them, and the result is one vector per graph, (B, d).
+    """
+    return h[0] if rows is None else h[::rows]

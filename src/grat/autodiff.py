@@ -77,7 +77,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _accumulate(t: Tensor, grad: np.ndarray):
     if not t.requires_grad:
         return
-    grad = _unbroadcast(np.asarray(grad, dtype=np.float64), t.data.shape)
+    if type(grad) is not np.ndarray or grad.dtype != np.float64:
+        grad = np.asarray(grad, dtype=np.float64)
+    if grad.shape != t.data.shape:
+        grad = _unbroadcast(grad, t.data.shape)
     if t.grad is None:
         t.grad = np.array(grad)  # own buffer, never alias the incoming grad
     else:
@@ -180,6 +183,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), bwd)
 
 
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for a batch of rows x (n, n_in), w (n_in, n_out), b (n_out,)."""
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]
+            or b.data.shape != w.data.shape[1:]):
+        raise DimensionError(f"affine: incompatible shapes {x.data.shape} @ {w.data.shape} "
+                             f"+ {b.data.shape}")
+    data = x.data @ w.data + b.data
+
+    def bwd(g):
+        _accumulate(x, g @ w.data.T)
+        _accumulate(w, x.data.T @ g)
+        _accumulate(b, g.sum(axis=0))
+
+    return _make(data, (x, w, b), bwd)
+
+
 def transpose(a: Tensor) -> Tensor:
     a = _wrap(a)
     if a.data.ndim != 2:
@@ -276,14 +296,25 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _make(data, (a,), bwd)
 
 
+def _is_basic_index(idx) -> bool:
+    """Ints and slices select each element at most once."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(isinstance(p, (int, np.integer, slice)) for p in parts)
+
+
 def take(a: Tensor, idx) -> Tensor:
-    """Basic/fancy indexing; backward scatter-adds (duplicates accumulate)."""
+    """Basic/fancy indexing. The backward assigns for int/slice indices and
+    scatter-adds for fancy ones (duplicates accumulate)."""
     a = _wrap(a)
     data = a.data[idx]
+    basic = _is_basic_index(idx)
 
     def bwd(g):
         buf = np.zeros_like(a.data)
-        np.add.at(buf, idx, g)
+        if basic:
+            buf[idx] = g
+        else:
+            np.add.at(buf, idx, g)
         _accumulate(a, buf)
 
     return _make(np.array(data), (a,), bwd)
@@ -313,20 +344,22 @@ def embedding_gather(table: Tensor, ids) -> Tensor:
 # normalization / softmax
 
 
-def _softmax(x: np.ndarray, mask) -> np.ndarray:
-    """softmax_rows's arithmetic; a mask shaped like x's trailing axes broadcasts."""
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != x.shape[x.ndim - mask.ndim:]:
-            raise DimensionError(f"softmax mask shape {mask.shape} != input shape {x.shape}")
-        x = np.where(mask, x, -np.inf)
-    rowmax = np.max(x, axis=-1, keepdims=True)
-    rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)  # fully-masked rows
+def _softmax(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """softmax_rows's arithmetic; a boolean mask broadcasts against x.
+
+    Masked entries become -inf, whose exp is exactly 0. A fully masked row
+    has max -inf and sum 0; both are replaced so that the row comes out 0.
+    """
+    if mask is None:
+        expd = np.exp(x - x.max(axis=-1, keepdims=True))
+        return expd / expd.sum(axis=-1, keepdims=True)
+    x = np.where(mask, x, -np.inf)
+    rowmax = x.max(axis=-1, keepdims=True)
+    rowmax[rowmax == -np.inf] = 0.0
     expd = np.exp(x - rowmax)
-    if mask is not None:
-        expd = np.where(mask, expd, 0.0)
     denom = expd.sum(axis=-1, keepdims=True)
-    return np.divide(expd, denom, out=np.zeros_like(expd), where=denom > 0.0)
+    denom[denom == 0.0] = 1.0
+    return expd / denom
 
 
 def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -337,6 +370,10 @@ def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     ``~mask.any(axis=-1)``.
     """
     x = _wrap(x)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != x.data.shape[x.data.ndim - mask.ndim:]:
+            raise DimensionError(f"softmax mask shape {mask.shape} != input shape {x.data.shape}")
     data = _softmax(x.data, mask)
 
     def bwd(g):
@@ -349,45 +386,67 @@ def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
                          gamma: Tensor | None = None, beta: Tensor | None = None,
                          mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
-    """All heads of edge-modulated scaled dot-product attention as one op.
+    """All heads of edge-modulated scaled dot-product attention as one op,
+    over a batch of B independent sequences.
 
-    q is (n, heads*dk), k (nk, heads*dk) and v (nk, heads*dv), each viewed as
-    (heads, rows, d). Per head, weights = softmax((gamma*QK^T + beta)/sqrt(dk))
-    with gamma, beta and mask (n, nk) shared by every head; with gamma and beta
-    both None the modulation is skipped. Masked weights are exactly 0 and a
-    fully masked row is a zero row. Returns the (n, heads*dv) output and the
-    (heads, n, nk) weights. The backward is written from the saved weights.
+    q is (B*n, heads*dk), k (B*nk, heads*dk) and v (B*nk, heads*dv): sequence
+    b owns rows b*n.. of q and b*nk.. of k and v, each viewed as (heads, rows,
+    d). Per sequence and head, weights = softmax((gamma*QK^T + beta)/sqrt(dk))
+    with gamma, beta and mask (B, n, nk) shared by every head; (n, nk), or
+    neither gamma nor mask given, is B = 1. With gamma and beta both None the
+    modulation is skipped. Masked weights are exactly 0 and a fully masked row
+    is a zero row. Returns the (B*n, heads*dv) output and the weights,
+    (B, heads, n, nk), or (heads, n, nk) when B = 1 came from 2-d inputs. The
+    backward is written from the saved weights.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
-    (n, width), nk = q.data.shape, k.data.shape[0]
+    pairs = gamma.data if gamma is not None else mask
+    lead = np.shape(pairs)[:-2] if pairs is not None else ()
+    batch = lead[0] if lead else 1
+    (rows, width), key_rows = q.data.shape, k.data.shape[0]
     if k.data.shape[1] != width or width % heads:
         raise DimensionError(f"attention: query {q.data.shape} and key {k.data.shape} "
                              f"widths do not split into {heads} equal heads")
-    if v.data.shape[0] != nk or v.data.shape[1] % heads:
+    if v.data.shape[0] != key_rows or v.data.shape[1] % heads:
         raise DimensionError(f"attention: {v.data.shape} values for {k.data.shape} keys")
+    if len(lead) > 1 or rows % batch or key_rows % batch:
+        raise DimensionError(f"attention: {rows} query and {key_rows} key rows do not "
+                             f"split into {batch} sequences")
+    n, nk = rows // batch, key_rows // batch
+    pair_shape = lead + (n, nk)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+    for name, shape in (("gamma", gamma is not None and gamma.data.shape),
+                        ("beta", beta is not None and beta.data.shape),
+                        ("mask", mask is not None and mask.shape)):
+        if shape and shape != pair_shape:
+            raise DimensionError(f"attention: {name} shape {shape} != {pair_shape}")
     scale = 1.0 / np.sqrt(width // heads)
-    qh, kh, vh = (t.data.reshape(len(t.data), heads, -1).transpose(1, 0, 2) for t in (q, k, v))
-    logits = qh @ kh.transpose(0, 2, 1)
-    modulated = logits if gamma is None else gamma.data * logits + beta.data
-    weights = _softmax(modulated * scale, mask)
+    qh, kh, vh = (t.data.reshape(batch, len(t.data) // batch, heads, -1).transpose(0, 2, 1, 3)
+                  for t in (q, k, v))
+    logits = qh @ kh.transpose(0, 1, 3, 2)
+    scales = None if gamma is None else gamma.data.reshape(batch, 1, n, nk)
+    modulated = logits if gamma is None else scales * logits + beta.data.reshape(batch, 1, n, nk)
+    weights = _softmax(modulated * scale, None if mask is None else mask.reshape(batch, 1, n, nk))
 
     def bwd(g):
-        gh = g.reshape(n, heads, -1).transpose(1, 0, 2)
-        dweights = gh @ vh.transpose(0, 2, 1)
+        gh = g.reshape(batch, n, heads, -1).transpose(0, 2, 1, 3)
+        dweights = gh @ vh.transpose(0, 1, 3, 2)
         dmod = (dweights - (dweights * weights).sum(axis=-1, keepdims=True)) * weights * scale
-        dlogits = dmod if gamma is None else dmod * gamma.data
-        _accumulate(q, (dlogits @ kh).transpose(1, 0, 2).reshape(n, width))
+        dlogits = dmod if gamma is None else dmod * scales
+        _accumulate(q, (dlogits @ kh).transpose(0, 2, 1, 3).reshape(rows, width))
         # C order: on a column-major gradient the upstream matmul rounds differently
-        dkeys = np.ascontiguousarray((qh.transpose(0, 2, 1) @ dlogits).transpose(2, 0, 1))
-        _accumulate(k, dkeys.reshape(nk, width))
-        _accumulate(v, (weights.transpose(0, 2, 1) @ gh).transpose(1, 0, 2).reshape(nk, -1))
+        dkeys = np.ascontiguousarray((qh.transpose(0, 1, 3, 2) @ dlogits).transpose(0, 3, 1, 2))
+        _accumulate(k, dkeys.reshape(key_rows, width))
+        _accumulate(v, (weights.transpose(0, 1, 3, 2) @ gh).transpose(0, 2, 1, 3)
+                    .reshape(key_rows, -1))
         if gamma is not None:
-            _accumulate(gamma, (dmod * logits).sum(axis=0))
-            _accumulate(beta, dmod.sum(axis=0))
+            _accumulate(gamma, (dmod * logits).sum(axis=1).reshape(gamma.data.shape))
+            _accumulate(beta, dmod.sum(axis=1).reshape(beta.data.shape))
 
     parents = (q, k, v) if gamma is None else (q, k, v, gamma, beta)
-    out = (weights @ vh).transpose(1, 0, 2).reshape(n, -1)
-    return _make(out, parents, bwd), weights
+    out = (weights @ vh).transpose(0, 2, 1, 3).reshape(rows, -1)
+    return _make(out, parents, bwd), weights.reshape(lead + weights.shape[1:])
 
 
 def log_softmax_rows(x: Tensor) -> Tensor:
@@ -404,13 +463,28 @@ def log_softmax_rows(x: Tensor) -> Tensor:
     return _make(data, (x,), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale+shift."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5,
+               residual: Tensor | None = None) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then scale+shift.
+
+    With residual, normalizes x + residual (a post-norm residual block) in
+    the same op.
+    """
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = np.square(x.data - mu).mean(axis=-1, keepdims=True)
+    summed = x.data
+    if residual is not None:
+        residual = _wrap(residual)
+        try:
+            summed = x.data + residual.data
+        except ValueError:
+            raise DimensionError(f"layer_norm: residual shape {residual.data.shape} "
+                                 f"!= input shape {x.data.shape}") from None
+    # sum / width is what ndarray.mean computes, without its Python-level overhead
+    width = summed.shape[-1]
+    centered = summed - summed.sum(axis=-1, keepdims=True) / width
+    var = np.square(centered).sum(axis=-1, keepdims=True) / width
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = centered * inv
     try:
         data = xhat * gain.data + bias.data
     except ValueError:
@@ -423,11 +497,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         _accumulate(gain, g * xhat)
         _accumulate(bias, g)
         dxhat = g * gain.data
-        term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(x, inv * term)
+        term = dxhat - dxhat.sum(axis=-1, keepdims=True) / width \
+            - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / width)
+        dx = inv * term
+        _accumulate(x, dx)
+        if residual is not None:
+            _accumulate(residual, dx)
 
-    return _make(data, (x, gain, bias), bwd)
+    parents = (x, gain, bias) if residual is None else (x, gain, bias, residual)
+    return _make(data, parents, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ the steps sequentially:
 
 The edge matrix feeds the same FiLM conditioner as the encoder: SELF on the
 diagonal, the target graph's types between node positions (teacher forcing),
-VIRTUAL from <G> positions to the nodes they may attend.
+VIRTUAL from <G> positions to the nodes they may attend. Training decodes a
+mini-batch of targets in one pass, each layout padded to the longest
+(decode_batch).
 
 Generation runs the same equivalence the other way. Node positions never
 attend to <G> and the mask is causal, so a node's per-layer states are final
@@ -40,7 +42,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import CapacityError, ContractError
 from .graph import (Graph, NO_BOND, SELF, VIRTUAL, N_RESERVED_EDGES, N_RESERVED_LABELS,
-                    TOK_EOG, TOK_G)
+                    TOK_EOG, TOK_G, TOK_PAD)
 from .nn import affine, init_affine, init_embedding, init_layer_norm, positional_encoding
 from .attention import (init_conditioner, edge_gamma_beta, multi_head_film_attention,
                         feed_forward, project_keys_values)
@@ -213,15 +215,18 @@ def _cross_keys_values(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h:
 
 def _layers(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[Tensor, Tensor]],
             x: Tensor, edge_matrix: np.ndarray, mask: np.ndarray, prefix: str,
-            cached: list[np.ndarray] | None = None) -> tuple[Tensor, list[Tensor]]:
+            cached: list[np.ndarray] | None = None, cross_mask: np.ndarray | None = None
+            ) -> tuple[Tensor, list[Tensor]]:
     """The decoder stack over the input rows x; returns the output rows and
     each layer's input rows. cross_kv is _cross_keys_values's output.
 
-    Self-attention keys and values come from x itself. With cached (per
-    layer, an (h, c, width) array: c constant rows for each of h equal groups
-    of x's rows), the key set is, group by group, its cached rows then its own
-    rows of x; edge_matrix and mask then have one column per key. The cached
-    rows carry no gradient, so that path is for inference only.
+    x holds B sequences of equal row count, and edge_matrix and mask are
+    (B, rows, keys): sequence b's rows attend only to its own keys. Without
+    cached, the keys are the sequence's own rows. With cached (per layer, a
+    (B, c, width) array), sequence b's keys are its c cached rows, then its
+    own rows; the cached rows carry no gradient, so that path is for
+    inference only. cross_mask (B, rows, encoder rows) restricts each
+    sequence's cross-attention; without it every row sees every encoder row.
     """
     gammas, betas = edge_gamma_beta(params, f"{prefix}.cond", edge_matrix, cfg.layers)
     inputs = []
@@ -235,11 +240,12 @@ def _layers(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[
                                          axis=1).reshape(-1, width))
         attn, _ = multi_head_film_attention(cfg, params, f"{base}.self", x,
                                             gammas[i], betas[i], mask, memory=keys)
-        x = ad.layer_norm(ad.add(x, attn), params[f"{base}.ln1.g"], params[f"{base}.ln1.b"])
-        cross, _ = multi_head_film_attention(cfg, params, f"{base}.cross", x, kv=cross_kv[i])
-        x = ad.layer_norm(ad.add(x, cross), params[f"{base}.ln2.g"], params[f"{base}.ln2.b"])
+        x = ad.layer_norm(x, params[f"{base}.ln1.g"], params[f"{base}.ln1.b"], residual=attn)
+        cross, _ = multi_head_film_attention(cfg, params, f"{base}.cross", x, mask=cross_mask,
+                                             kv=cross_kv[i])
+        x = ad.layer_norm(x, params[f"{base}.ln2.g"], params[f"{base}.ln2.b"], residual=cross)
         ff = feed_forward(params, base, x)
-        x = ad.layer_norm(ad.add(x, ff), params[f"{base}.ln3.g"], params[f"{base}.ln3.b"])
+        x = ad.layer_norm(x, params[f"{base}.ln3.g"], params[f"{base}.ln3.b"], residual=ff)
     return x, inputs
 
 
@@ -251,40 +257,71 @@ def _edge_logits(cfg: DecoderConfig, params: dict[str, Tensor], prefix: str,
     return affine(params, f"{prefix}.fe2", hidden)
 
 
+def decode_batch(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor,
+                 encoder_sizes: list[int], batches: list[DecoderBatch], prefix: str = "dec",
+                 input_offsets: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """One teacher-forced pass over B targets at once; returns (node_logits,
+    edge_logits), graph by graph in batch order.
+
+    encoder_h holds B graphs of equal padded row count (encode_batch's
+    output) and encoder_sizes[b] counts graph b's real rows; cross-attention
+    sees only those. Each layout is padded to the longest, L positions, with
+    TOK_PAD tokens, NO_BOND edges and masked rows and columns, so a graph's
+    logits do not depend on the rest of the batch. Per graph, node_logits has
+    one row per <G> step (k+1 rows) and edge_logits one row per pair, aligned
+    with its pair_steps/pair_nodes. input_offsets, when given, is added to the
+    embedded (B*L, width) input rows (a diagnostic hook for position-targeted
+    perturbation tests).
+    """
+    n_graphs = len(batches)
+    lengths = np.array([len(b.tokens) for b in batches])
+    length = int(lengths.max())
+    if length > cfg.max_context:
+        raise CapacityError(f"decoder sequence length {length} exceeds {cfg.max_context}")
+    if len(encoder_sizes) != n_graphs or encoder_h.shape[0] % n_graphs:
+        raise ContractError(f"{len(encoder_sizes)} encoded graphs in {encoder_h.shape[0]} rows "
+                            f"for {n_graphs} targets")
+    tokens = np.full((n_graphs, length), TOK_PAD, dtype=np.int64)
+    edge_matrix = np.full((n_graphs, length, length), NO_BOND, dtype=np.int64)
+    mask = np.zeros((n_graphs, length, length), dtype=bool)
+    for b, (batch, ell) in enumerate(zip(batches, lengths)):
+        tokens[b, :ell] = batch.tokens
+        edge_matrix[b, :ell, :ell] = batch.edge_matrix
+        mask[b, :ell, :ell] = batch.mask
+    x = ad.embedding_gather(params[f"{prefix}.embed"], tokens.reshape(-1))
+    if cfg.use_positional_encoding:
+        x = ad.add(x, Tensor(np.tile(positional_encoding(length, cfg.width), (n_graphs, 1))))
+    if input_offsets is not None:
+        x = ad.add(x, Tensor(input_offsets))
+    enc_rows = encoder_h.shape[0] // n_graphs
+    cross_mask = np.broadcast_to((np.arange(enc_rows) < np.array(encoder_sizes)[:, None])[:, None],
+                                 (n_graphs, length, enc_rows))
+    x, _ = _layers(cfg, params, _cross_keys_values(cfg, params, encoder_h, prefix), x,
+                   edge_matrix, mask, prefix, cross_mask=cross_mask)
+
+    starts = np.arange(n_graphs) * length
+    gen_rows = np.concatenate([s + np.arange(0, ell, 2) for s, ell in zip(starts, lengths)])
+    node_logits = affine(params, f"{prefix}.fl", ad.embedding_gather(x, gen_rows))
+    fe_out_width = params[f"{prefix}.fe2.w"].shape[1]
+    if not any(len(b.pair_steps) for b in batches):
+        return node_logits, Tensor(np.zeros((0, fe_out_width)))
+    # h'_i sits at position 2i, h_j at 2j+1 (1-based node j at 2j-1)
+    p_rows = affine(params, f"{prefix}.fp", x)
+    step_rows = np.concatenate([s + 2 * b.pair_steps for s, b in zip(starts, batches)])
+    node_rows = np.concatenate([s + 2 * b.pair_nodes + 1 for s, b in zip(starts, batches)])
+    edge_logits = _edge_logits(cfg, params, prefix, ad.embedding_gather(p_rows, step_rows),
+                               ad.embedding_gather(p_rows, node_rows))
+    return node_logits, edge_logits
+
+
 def decode_forward(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor,
                    batch: DecoderBatch, prefix: str = "dec",
                    input_offsets: np.ndarray | None = None
                    ) -> tuple[Tensor, Tensor]:
-    """One teacher-forced pass; returns (node_logits, edge_logits).
-
-    node_logits has one row per <G> step (k+1 rows); edge_logits has one row
-    per batch pair, aligned with batch.pair_steps/pair_nodes. input_offsets,
-    when given, is added to the embedded input sequence (a diagnostic hook
-    for position-targeted perturbation tests).
-    """
-    length = len(batch.tokens)
-    if length > cfg.max_context:
-        raise CapacityError(f"decoder sequence length {length} exceeds {cfg.max_context}")
-    x = ad.embedding_gather(params[f"{prefix}.embed"], batch.tokens)
-    if cfg.use_positional_encoding:
-        x = ad.add(x, Tensor(positional_encoding(length, cfg.width)))
-    if input_offsets is not None:
-        x = ad.add(x, Tensor(input_offsets))
-    x, _ = _layers(cfg, params, _cross_keys_values(cfg, params, encoder_h, prefix), x,
-                   batch.edge_matrix, batch.mask, prefix)
-
-    h_gen = x[np.arange(0, length, 2)]       # h'_i, one per step
-    node_logits = affine(params, f"{prefix}.fl", h_gen)
-    fe_out_width = params[f"{prefix}.fe2.w"].shape[1]
-    if len(batch.pair_steps) == 0:
-        return node_logits, Tensor(np.zeros((0, fe_out_width)))
-    h_nodes = x[np.arange(1, length, 2)]     # h_j, one per generated node
-    p_gen = affine(params, f"{prefix}.fp", h_gen)
-    p_nodes = affine(params, f"{prefix}.fp", h_nodes)
-    edge_logits = _edge_logits(cfg, params, prefix,
-                               ad.embedding_gather(p_gen, batch.pair_steps),
-                               ad.embedding_gather(p_nodes, batch.pair_nodes))
-    return node_logits, edge_logits
+    """decode_batch of one target: (node_logits, edge_logits), k+1 node rows
+    and one edge row per batch pair, aligned with batch.pair_steps/pair_nodes."""
+    return decode_batch(cfg, params, encoder_h, [encoder_h.shape[0]], [batch], prefix,
+                        input_offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +396,11 @@ def _step(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[Te
           ) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, ...]]]:
     """Decode the pending rows of every live hypothesis in one pass.
 
-    All hypotheses hold m nodes. Their pending rows, node m and the next <G>,
-    attend to a block-diagonal key set: per hypothesis its cached node rows,
-    then its own pending rows. Returns the next label's log-probs (h, labels),
-    the edge-class log-probs against nodes 1..m (h, m, classes), and each
-    hypothesis's cache extended by node m.
+    All hypotheses hold m nodes, and each is one sequence of the batch axis:
+    its pending rows, node m and the next <G>, attend to its cached node
+    rows, then its own pending rows. Returns the next label's log-probs
+    (h, labels), the edge-class log-probs against nodes 1..m (h, m, classes),
+    and each hypothesis's cache extended by node m.
     """
     m = len(live[0].labels)
     pos = np.arange(max(2 * m - 1, 0), 2 * m + 1)      # pending positions
@@ -371,20 +408,19 @@ def _step(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[Te
     n_hyp, n_pos, n_keys = len(live), len(pos), len(keys)
     grid = np.ix_(pos, keys)
     tokens = np.empty((n_hyp, n_pos), dtype=np.int64)
-    edge_matrix = np.full((n_hyp, n_pos, n_hyp, n_keys), VIRTUAL, dtype=np.int64)
-    mask = np.zeros((n_hyp, n_pos, n_hyp, n_keys), dtype=bool)
+    edge_matrix = np.empty((n_hyp, n_pos, n_keys), dtype=np.int64)
+    mask = np.empty((n_hyp, n_pos, n_keys), dtype=bool)
     for h, hyp in enumerate(live):
         hyp_tokens, hyp_edges, hyp_mask = _layout(hyp.labels, hyp.edges)
         tokens[h] = hyp_tokens[pos]
-        edge_matrix[h, :, h] = hyp_edges[grid]
-        mask[h, :, h] = hyp_mask[grid]
+        edge_matrix[h] = hyp_edges[grid]
+        mask[h] = hyp_mask[grid]
     x = ad.embedding_gather(params[f"{prefix}.embed"], tokens.reshape(-1))
     if cfg.use_positional_encoding:
         x = ad.add(x, Tensor(np.tile(positional_encoding(2 * m + 1, cfg.width)[pos],
                                      (n_hyp, 1))))
     cached = [np.stack([hyp.cache[i] for hyp in live]) for i in range(cfg.layers)]
-    x, inputs = _layers(cfg, params, cross_kv, x, edge_matrix.reshape(n_hyp * n_pos, -1),
-                        mask.reshape(n_hyp * n_pos, -1), prefix, cached)
+    x, inputs = _layers(cfg, params, cross_kv, x, edge_matrix, mask, prefix, cached)
     label_lp = ad.log_softmax_rows(affine(params, f"{prefix}.fl", x[n_pos - 1::n_pos])).data
     if m == 0:
         return label_lp, np.zeros((n_hyp, 0, 0)), [hyp.cache for hyp in live]

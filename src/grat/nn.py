@@ -7,7 +7,8 @@ import math
 
 import numpy as np
 
-from .autodiff import Tensor, add, matmul
+from . import autodiff as ad
+from .autodiff import Tensor
 
 
 def init_affine(params: dict[str, Tensor], name: str, rng: np.random.Generator,
@@ -23,7 +24,7 @@ def init_affine(params: dict[str, Tensor], name: str, rng: np.random.Generator,
 
 
 def affine(params: dict[str, Tensor], name: str, x: Tensor) -> Tensor:
-    return add(matmul(x, params[f"{name}.w"]), params[f"{name}.b"])
+    return ad.affine(x, params[f"{name}.w"], params[f"{name}.b"])
 
 
 def init_embedding(params: dict[str, Tensor], name: str, rng: np.random.Generator,

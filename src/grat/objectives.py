@@ -14,20 +14,25 @@ from .errors import ContractError
 from .decoder import edge_class_of_type
 from .graph import (Graph, MASK_EDGE, NO_BOND, TOK_CLS, TOK_MASK, VIRTUAL,
                     N_RESERVED_EDGES, N_RESERVED_LABELS, prepend_token)
-from .attention import EncoderConfig, encode, readout_cls
+from .attention import EncoderConfig, encode
 from .nn import affine, init_affine
 
 
-def cross_entropy_mean(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean cross-entropy of integer targets under row-wise log-softmax."""
+def cross_entropy_mean(logits: Tensor, targets: np.ndarray,
+                       weights: np.ndarray | None = None) -> Tensor:
+    """Mean cross-entropy of integer targets under row-wise log-softmax.
+
+    With weights, the weighted sum of the rows' cross-entropies instead: one
+    call then scores several groups of rows, each weighted by its share.
+    """
     targets = np.asarray(targets, dtype=np.int64)
     if logits.shape[0] != len(targets) or len(targets) == 0:
         raise ContractError(
             f"cross entropy: {logits.shape[0]} logit rows vs {len(targets)} targets")
-    onehot = np.zeros(logits.shape)
-    onehot[np.arange(len(targets)), targets] = 1.0
-    picked = ad.mul(ad.log_softmax_rows(logits), Tensor(onehot))
-    return ad.mul(ad.sum_(picked), -1.0 / len(targets))
+    picked = np.zeros(logits.shape)
+    picked[np.arange(len(targets)), targets] = (
+        -1.0 / len(targets) if weights is None else -np.asarray(weights, dtype=np.float64))
+    return ad.sum_(ad.mul(ad.log_softmax_rows(logits), Tensor(picked)))
 
 
 def l1_mean(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -153,13 +158,11 @@ def init_property_head(cfg: EncoderConfig, n_tasks: int, rng: np.random.Generato
     return params
 
 
-def property_forward(params: dict[str, Tensor], cls_vec: Tensor,
+def property_forward(params: dict[str, Tensor], cls_rows: Tensor,
                      prefix: str = "prop") -> Tensor:
-    """Graph-level property prediction from the <CLS> readout vector."""
-    row = ad.reshape(cls_vec, (1, cls_vec.shape[0]))
-    hidden = ad.relu(affine(params, f"{prefix}.h", row))
-    out = affine(params, f"{prefix}.o", hidden)
-    return ad.reshape(out, (out.shape[1],))
+    """Graph-level property predictions (B, tasks) from the <CLS> readout rows (B, d)."""
+    hidden = ad.relu(affine(params, f"{prefix}.h", cls_rows))
+    return affine(params, f"{prefix}.o", hidden)
 
 
 def pretrain_losses(cfg: EncoderConfig, params: dict[str, Tensor],
@@ -198,6 +201,6 @@ def pretrain_losses(cfg: EncoderConfig, params: dict[str, Tensor],
         edge_loss = cross_entropy_mean(pair_logits, classes)
     graph_loss = zero
     if graph_targets is not None:
-        preds = property_forward(params, readout_cls(h), prefix=prop_prefix)
-        graph_loss = l1_mean(preds, np.asarray(graph_targets, dtype=np.float64))
+        preds = property_forward(params, h[:1], prefix=prop_prefix)
+        graph_loss = l1_mean(preds, np.asarray(graph_targets, dtype=np.float64)[None])
     return node_loss, edge_loss, graph_loss

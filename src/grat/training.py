@@ -13,12 +13,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Adam, Tensor
-from .attention import EncoderConfig, encode, init_encoder_params, readout_cls
+from .attention import EncoderConfig, encode, encode_batch, init_encoder_params, readout_cls
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import GraphDataset, TranslationDataset, load_dataset, split_indices
-from .decoder import (DecoderConfig, GeneratedGraph, build_decoder_batch,
-                      decode_forward, generate_beam,
-                      init_decoder_params, n_edge_classes)
+from .decoder import (DecoderBatch, DecoderConfig, GeneratedGraph, build_decoder_batch,
+                      decode_batch, generate_beam, init_decoder_params, n_edge_classes)
 from .errors import CheckpointError, ContractError, DataError, NumericError
 from .graph import (Graph, EdgeTypeVocab, NodeLabelVocab, TOK_CLS, TOK_REACTANT,
                     VIRTUAL, concat_graphs, prepend_token)
@@ -189,13 +188,31 @@ class TranslationModel:
         return concat_graphs([(g.delim if g.delim is not None else TOK_REACTANT, g)
                               for g in srcs])
 
-    def loss_on(self, enc_input: Graph, batch) -> Tensor:
-        enc_h = encode(self.enc_cfg, self.params, enc_input)
-        node_logits, edge_logits = decode_forward(self.dec_cfg, self.params, enc_h, batch)
-        loss = cross_entropy_mean(node_logits, batch.node_targets)
-        if batch.n_target_pairs:
-            loss = ad.add(loss, cross_entropy_mean(
-                edge_logits[:batch.n_target_pairs], batch.pair_target_classes))
+    def loss_on(self, enc_input: Graph, batch: DecoderBatch) -> Tensor:
+        return self.batch_loss([enc_input], [batch])
+
+    def batch_loss(self, enc_inputs: list[Graph], batches: list[DecoderBatch]) -> Tensor:
+        """Mean over the pairs of each pair's node cross-entropy plus, when its
+        target has edge decisions, its edge cross-entropy; one padded encoder
+        and decoder pass for all of them."""
+        enc_h = encode_batch(self.enc_cfg, self.params, enc_inputs)
+        node_logits, edge_logits = decode_batch(self.dec_cfg, self.params, enc_h,
+                                                [g.n for g in enc_inputs], batches)
+        share = 1.0 / len(batches)
+        node_targets = np.concatenate([b.node_targets for b in batches])
+        node_weights = np.concatenate([np.full(len(b.node_targets), share / len(b.node_targets))
+                                       for b in batches])
+        loss = cross_entropy_mean(node_logits, node_targets, node_weights)
+        if any(b.n_target_pairs for b in batches):
+            # the trailing pairs of each final <EOG> step have no target: weight 0
+            edge_targets, edge_weights = [], []
+            for b in batches:
+                extra = len(b.pair_steps) - b.n_target_pairs
+                edge_targets += [b.pair_target_classes, np.zeros(extra, dtype=np.int64)]
+                edge_weights += [np.full(b.n_target_pairs, share / max(b.n_target_pairs, 1)),
+                                 np.zeros(extra)]
+            loss = ad.add(loss, cross_entropy_mean(edge_logits, np.concatenate(edge_targets),
+                                                   np.concatenate(edge_weights)))
         return loss
 
     def generate(self, srcs: list[Graph], beam_width: int, max_nodes: int
@@ -227,20 +244,39 @@ class PropertyModel:
         return cls(enc_cfg, label_vocab, edge_vocab, list(tasks), mu, sigma, params)
 
     def loss_on(self, enc_input: Graph, targets_norm: np.ndarray) -> Tensor:
-        h = encode(self.enc_cfg, self.params, enc_input)
-        preds = property_forward(self.params, readout_cls(h))
-        return l1_mean(preds, targets_norm)
+        return self.batch_loss([enc_input], np.asarray(targets_norm)[None])
+
+    def batch_loss(self, enc_inputs: list[Graph], targets_norm: np.ndarray) -> Tensor:
+        """Mean L1 error of normalized predictions against targets (B, tasks)."""
+        return l1_mean(self._forward(enc_inputs), targets_norm)
+
+    def _forward(self, enc_inputs: list[Graph]) -> Tensor:
+        h = encode_batch(self.enc_cfg, self.params, enc_inputs)
+        return property_forward(self.params, readout_cls(h, max(g.n for g in enc_inputs)))
 
     def predict(self, g: Graph) -> dict[str, float]:
+        return self.predict_batch([g])[0]
+
+    def predict_batch(self, graphs: list[Graph]) -> list[dict[str, float]]:
+        """Raw-unit predictions per graph, from one padded encoder pass."""
         with ad.no_grad():
-            h = encode(self.enc_cfg, self.params, prepend_token(g, TOK_CLS, VIRTUAL))
-            preds = property_forward(self.params, readout_cls(h)).data
+            preds = self._forward([prepend_token(g, TOK_CLS, VIRTUAL) for g in graphs]).data
         raw = preds * self.sigma + self.mu
-        return {task: float(raw[i]) for i, task in enumerate(self.tasks)}
+        return [{task: float(row[i]) for i, task in enumerate(self.tasks)} for row in raw]
 
 
 # ---------------------------------------------------------------------------
 # evaluation
+
+
+def _chunks(seq, size):
+    for start in range(0, len(seq), size):
+        yield seq[start:start + size]
+
+
+# graphs per padded encoder pass in evaluate_property: bounds the (B, n, n)
+# pair arrays of a large evaluation split
+PREDICT_BATCH = 64
 
 
 def evaluate_property(model: PropertyModel, graphs: list[Graph]) -> MetricReport:
@@ -248,10 +284,10 @@ def evaluate_property(model: PropertyModel, graphs: list[Graph]) -> MetricReport
     if not graphs:
         raise ContractError("evaluate_property on an empty split")
     errors = {task: [] for task in model.tasks}
-    for g in graphs:
-        preds = model.predict(g)
-        for task in model.tasks:
-            errors[task].append(abs(preds[task] - g.properties[task]))
+    for chunk in _chunks(graphs, PREDICT_BATCH):
+        for g, preds in zip(chunk, model.predict_batch(chunk)):
+            for task in model.tasks:
+                errors[task].append(abs(preds[task] - g.properties[task]))
     per_task = {task: float(np.mean(errs)) for task, errs in errors.items()}
     sigma = {task: float(model.sigma[i]) for i, task in enumerate(model.tasks)}
     report = MetricReport(per_task_mae=per_task,
@@ -281,11 +317,6 @@ def evaluate_translation(model: TranslationModel, pairs, max_nodes: int,
 # training
 
 
-def _chunks(seq, size):
-    for start in range(0, len(seq), size):
-        yield seq[start:start + size]
-
-
 def _snapshot(params):
     return {name: p.data.copy() for name, p in params.items()}
 
@@ -299,14 +330,15 @@ def _restore(params, snap):
 class _Task:
     """What the training loop needs from one task.
 
-    loss(j, epoch) is the loss on example j of the dataset; epoch is None
-    when validating. report() scores the held-out split once training ends;
-    em(), when given, is the exact-match rate checked against cfg.em_stop.
+    loss(indices, epoch) is the mean loss over those examples of the
+    dataset, one mini-batch; epoch is None when validating. report() scores
+    the held-out split once training ends; em(), when given, is the
+    exact-match rate checked against cfg.em_stop.
     """
 
     model: object
     split: dict[str, list[int]]
-    loss: Callable[[int, int | None], Tensor]
+    loss: Callable[[list[int], int | None], Tensor]
     report: Callable[[], MetricReport]
     em: Callable[[], float] | None = None
 
@@ -334,11 +366,7 @@ def _train_loop(cfg: RunConfig, task: _Task) -> int:
         order = shuffle_rng.permutation(len(train_idx))
         epoch_losses = []
         for batch in _chunks(order, cfg.batch_size):
-            total = None
-            for i in batch:
-                example = task.loss(train_idx[i], epoch)
-                total = example if total is None else ad.add(total, example)
-            loss = ad.mul(total, 1.0 / len(batch))
+            loss = task.loss([train_idx[i] for i in batch], epoch)
             if not np.isfinite(loss.data):
                 raise NumericError(f"non-finite training loss at step {steps}")
             ad.backward(loss)
@@ -353,7 +381,8 @@ def _train_loop(cfg: RunConfig, task: _Task) -> int:
                 break
         if epoch % cfg.eval_every == 0 or stop:
             with ad.no_grad():
-                val = float(np.mean([task.loss(j, None).item() for j in val_idx]))
+                val = sum(task.loss(chunk, None).item() * len(chunk)
+                          for chunk in _chunks(val_idx, cfg.batch_size)) / len(val_idx)
             log.info("epoch %d: train loss %.5f, val %.5f, steps %d",
                      epoch, float(np.mean(epoch_losses)), val, steps)
             if val < best - 1e-12:
@@ -468,7 +497,8 @@ def _translation_task(cfg: RunConfig) -> _Task:
         return evaluate_translation(model, [data.pairs[i] for i in idx], cfg.max_nodes)
 
     return _Task(model, split,
-                 loss=lambda j, _epoch: model.loss_on(*prepared[j]),
+                 loss=lambda idx, _epoch: model.batch_loss([prepared[j][0] for j in idx],
+                                                          [prepared[j][1] for j in idx]),
                  report=lambda: scored(held_out),
                  em=lambda: scored(held_out[:48]).exact_match_rate)
 
@@ -489,7 +519,8 @@ def _property_task(cfg: RunConfig) -> _Task:
                          for t, m, s in zip(tasks, mu, sigma)] for g in data.graphs])
     held_out = split["val"] or split["train"]
     return _Task(model, split,
-                 loss=lambda j, _epoch: model.loss_on(inputs[j], targets[j]),
+                 loss=lambda idx, _epoch: model.batch_loss([inputs[j] for j in idx],
+                                                          targets[idx]),
                  report=lambda: evaluate_property(model, [data.graphs[i] for i in held_out]))
 
 
@@ -517,7 +548,15 @@ def _pretrain_task(cfg: RunConfig) -> _Task:
     model = PropertyModel(enc_cfg, data.label_vocab, data.edge_vocab, tasks, mu, sigma,
                           params)
 
-    def loss(j, epoch):
+    def loss(indices, epoch):
+        # masks are drawn per graph, so the batch mean composes per-graph losses
+        total = None
+        for j in indices:
+            example = example_loss(j, epoch)
+            total = example if total is None else ad.add(total, example)
+        return ad.mul(total, 1.0 / len(indices))
+
+    def example_loss(j, epoch):
         # training masks are redrawn every epoch; validation masks are fixed
         key = [cfg.seed, 3, j] if epoch is None else [cfg.seed, 2, epoch, j]
         g = data.graphs[j]

@@ -9,7 +9,9 @@ built from the library's own elementary ops:
   - film_attention and multi_head_film_reference rebuild attention one head at
     a time from matmul, transpose, mul, add and softmax_rows, with the tape
     deriving the backward, to check the fused all-heads op and its hand-written
-    backward.
+    backward;
+  - affine_reference and add_layer_norm_reference compose the fused affine and
+    residual layer-norm ops from matmul, add and the plain layer norm.
 """
 
 from __future__ import annotations
@@ -140,3 +142,14 @@ def multi_head_film_reference(q: Tensor, k: Tensor, v: Tensor, heads: int,
         outs.append(out)
         weights.append(w.data)
     return ad.concat(outs, axis=1), np.stack(weights)
+
+
+def affine_reference(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as two recorded ops."""
+    return ad.add(ad.matmul(x, w), b)
+
+
+def add_layer_norm_reference(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor
+                             ) -> Tensor:
+    """layer_norm(x + residual) as two recorded ops."""
+    return ad.layer_norm(ad.add(x, residual), gain, bias)

@@ -74,11 +74,24 @@ def _mini_network(params, mask):
     return ad.add(ad.add(ad.mean(ad.absolute(top)), ad.sum_(ls)), ad.mean(h, axis=0)[1])
 
 
+def _fused_network(params, mask):
+    """The fused ops: affine, layer norm over a residual sum, and attention
+    over a batch of two 3-row sequences. Kept apart from _mini_network, whose
+    loss of several hundred would drown their gradients in finite-difference
+    roundoff."""
+    x, w, b, gain, bias, gamma, beta = params
+    h = ad.layer_norm(ad.affine(x, w, b), gain, bias, residual=x)
+    h = ad.concat([h, ad.tanh(x)], axis=0)
+    out, _ = ad.multi_head_attention(h, ad.tanh(h), ad.sub(h, 0.2), 2, gamma, beta, mask)
+    return ad.sum_(ad.tanh(out))
+
+
 def test_criterion_1_gradient_oracle():
     start = time.time()
     worst = 0.0
     # 20 random mini-networks covering every op, the fused attention op with
-    # non-identity FiLM among them
+    # non-identity FiLM among them, alone and over a batch of two sequences
+    # (_fused_network)
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         d = 4
@@ -95,15 +108,29 @@ def test_criterion_1_gradient_oracle():
         )
         mask = rng.random((6, 6)) > 0.2
         mask[:, 0] = True
-        loss = _mini_network(params, mask)
-        ad.backward(loss)
-        for t in params:
-            picks = rng.choice(t.data.size, size=min(3, t.data.size), replace=False)
-            idx = [np.unravel_index(int(i), t.data.shape) for i in picks]
-            fd = finite_difference_grad(lambda: _mini_network(params, mask).item(),
-                                        t.data, idx)
-            for i, expect in fd.items():
-                worst = max(worst, relative_error(t.grad[i], expect))
+        fused_params = (
+            Tensor(rng.normal(size=(3, d)), requires_grad=True),
+            Tensor(rng.normal(size=(d, d)) * 0.5, requires_grad=True),
+            Tensor(rng.normal(size=d) * 0.1, requires_grad=True),
+            Tensor(rng.uniform(0.5, 1.5, size=d), requires_grad=True),
+            Tensor(rng.normal(size=d) * 0.1, requires_grad=True),
+            Tensor(rng.uniform(0.5, 1.5, size=(2, 3, 3)), requires_grad=True),
+            Tensor(rng.normal(size=(2, 3, 3)) * 0.5, requires_grad=True),
+        )
+        batch_mask = rng.random((2, 3, 3)) > 0.2
+        batch_mask[:, :, 0] = True
+        batch_mask[1, 2] = False  # a fully masked row
+        for network, net_params, net_mask in ((_mini_network, params, mask),
+                                              (_fused_network, fused_params, batch_mask)):
+            loss = network(net_params, net_mask)
+            ad.backward(loss)
+            for t in net_params:
+                picks = rng.choice(t.data.size, size=min(3, t.data.size), replace=False)
+                idx = [np.unravel_index(int(i), t.data.shape) for i in picks]
+                fd = finite_difference_grad(lambda: network(net_params, net_mask).item(),
+                                            t.data, idx)
+                for i, expect in fd.items():
+                    worst = max(worst, relative_error(t.grad[i], expect))
 
     # full encoder + decoder at the desk preset
     cfg = config_from_dict({"task": "translate"})
@@ -111,13 +138,14 @@ def test_criterion_1_gradient_oracle():
     ev = gm.EdgeTypeVocab(["single", "double"])
     model = TranslationModel.build(cfg.encoder_config(), cfg.decoder_config(),
                                    lv, ev, seed=5)
+    # a padded batch of two pairs of different sizes
     rng = np.random.default_rng(77)
-    src = random_source_graph(rng, n=5)
-    tgt = random_target(rng, k=4)
-    batch = build_decoder_batch(tgt)
+    srcs = [random_source_graph(rng, n=5), random_source_graph(rng, n=3)]
+    batches = [build_decoder_batch(random_target(rng, k=4)),
+               build_decoder_batch(random_target(rng, k=2))]
 
     def full_loss():
-        return model.loss_on(src, batch)
+        return model.batch_loss(srcs, batches)
 
     loss = full_loss()
     ad.backward(loss)

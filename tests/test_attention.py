@@ -116,6 +116,54 @@ class TestFilmAttention:
                     assert got.shape == expect.shape
                     assert np.max(np.abs(got - expect)) < 1e-12
 
+    @pytest.mark.parametrize("film", [True, False])
+    def test_batch_matches_separate_calls(self, film):
+        # a ragged batch: sequence b has sizes[b] queries and key_sizes[b] keys,
+        # padded to the longest, with padding rows and columns masked
+        rng = np.random.default_rng(31)
+        heads, dk, dv = 2, 3, 2
+        sizes, key_sizes = np.array([3, 5, 1]), np.array([4, 2, 6])
+        batch, n, nk = 3, sizes.max(), key_sizes.max()
+        real_q = np.arange(n) < sizes[:, None]
+        real_k = np.arange(nk) < key_sizes[:, None]
+        mask = (rng.random((batch, n, nk)) > 0.2) & real_q[:, :, None] & real_k[:, None, :]
+        inputs = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in
+                  ((batch * n, heads * dk), (batch * nk, heads * dk), (batch * nk, heads * dv))]
+        if film:
+            inputs += [Tensor(rng.uniform(0.5, 1.5, size=(batch, n, nk)), requires_grad=True),
+                       Tensor(rng.normal(size=(batch, n, nk)), requires_grad=True)]
+        # the loss reads real rows only, as the batched losses do
+        upstream = rng.normal(size=(batch * n, heads * dv)) * real_q.reshape(-1, 1)
+        out, weights = ad.multi_head_attention(*inputs[:3], heads, *inputs[3:], mask=mask)
+        ad.backward(ad.sum_(ad.mul(out, Tensor(upstream))))
+        assert weights.shape == (batch, heads, n, nk)
+        for b in range(batch):
+            rows = slice(b * n, b * n + sizes[b])
+            keys = slice(b * nk, b * nk + key_sizes[b])
+            pairs = (b, slice(0, sizes[b]), slice(0, key_sizes[b]))
+            parts = [Tensor(t.data[part], requires_grad=True)
+                     for t, part in zip(inputs, (rows, keys, keys, pairs, pairs))]
+            alone, alone_weights = ad.multi_head_attention(*parts[:3], heads, *parts[3:],
+                                                           mask=mask[pairs])
+            ad.backward(ad.sum_(ad.mul(alone, Tensor(upstream[rows]))))
+            assert np.max(np.abs(out.data[rows] - alone.data)) < 1e-12
+            assert np.max(np.abs(weights[b][:, pairs[1], pairs[2]] - alone_weights)) < 1e-12
+            for t, part, single in zip(inputs, (rows, keys, keys, pairs, pairs), parts):
+                assert np.max(np.abs(t.grad[part] - single.grad)) < 1e-12
+        # padding rows, keys and pairs get exactly zero gradient
+        assert not inputs[0].grad[~real_q.reshape(-1)].any()
+        for t in inputs[1:3]:
+            assert not t.grad[~real_k.reshape(-1)].any()
+        for t in inputs[3:]:
+            assert not t.grad[~(real_q[:, :, None] & real_k[:, None, :])].any()
+
+    def test_batch_shape_errors(self):
+        q, k = Tensor(np.ones((6, 4))), Tensor(np.ones((4, 4)))
+        with pytest.raises(DimensionError):  # 4 key rows do not split into 3 sequences
+            ad.multi_head_attention(q, k, k, 2, mask=np.ones((3, 2, 1), dtype=bool))
+        with pytest.raises(DimensionError):  # mask disagrees with the row split
+            ad.multi_head_attention(q, k, k, 2, mask=np.ones((2, 2, 2), dtype=bool))
+
     def test_fully_masked_query_row_is_zero(self):
         rng = np.random.default_rng(25)
         mask = np.array([[False, False, False], [True, False, True]])

@@ -8,8 +8,9 @@ from grat import autodiff as ad
 from grat.autodiff import Tensor
 from grat.errors import ContractError, DimensionError, NumericError
 
-from oracles import (adam_unrolled, finite_difference_grad, matmul_triple_loop,
-                     relative_error, softmax_row_highprec)
+from oracles import (adam_unrolled, add_layer_norm_reference, affine_reference,
+                     finite_difference_grad, matmul_triple_loop, relative_error,
+                     softmax_row_highprec)
 
 
 def test_matmul_identity():
@@ -149,6 +150,53 @@ def test_composite_gradients_match_finite_differences():
             lambda: _composite_network(params, mask).item(), tensor.data, flat_idx)
         for idx, expect in fd.items():
             assert relative_error(tensor.grad[idx], expect) <= 1e-5
+
+
+def _grads(build, inputs, upstream):
+    """Output and input gradients of build(*inputs) under sum(out * upstream)."""
+    for t in inputs:
+        t.grad = None
+    out = build(*inputs)
+    ad.backward(ad.sum_(ad.mul(out, Tensor(upstream))))
+    return out.data, [t.grad.copy() for t in inputs]
+
+
+@pytest.mark.parametrize("fused, reference, shapes", [
+    (ad.affine, affine_reference, [(5, 3), (3, 4), (4,)]),
+    (lambda x, r, g, b: ad.layer_norm(x, g, b, residual=r), add_layer_norm_reference,
+     [(5, 6), (5, 6), (6,), (6,)]),
+])
+def test_fused_ops_match_composed_forms(fused, reference, shapes):
+    rng = np.random.default_rng(11)
+    inputs = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    upstream = rng.normal(size=fused(*inputs).shape)
+    out, grads = _grads(fused, inputs, upstream)
+    ref_out, ref_grads = _grads(reference, inputs, upstream)
+    assert np.abs(out - ref_out).max() <= 1e-12
+    for got, expect in zip(grads, ref_grads):
+        assert np.abs(got - expect).max() <= 1e-12
+
+
+def test_fused_op_shape_errors():
+    with pytest.raises(DimensionError):
+        ad.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
+    with pytest.raises(DimensionError):
+        ad.layer_norm(Tensor(np.ones((2, 3))), Tensor(np.ones(3)), Tensor(np.zeros(3)),
+                      residual=Tensor(np.ones((3, 3))))
+
+
+@pytest.mark.parametrize("idx", [0, slice(1, 4), slice(None, None, 2), (slice(None), 1),
+                                 (2, slice(0, 2)), np.array([0, 2, 2, 4])])
+def test_take_backward_matches_scatter_add(idx):
+    # basic indices assign their gradient, fancy ones scatter-add duplicates
+    rng = np.random.default_rng(3)
+    a = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    out = ad.take(a, idx)
+    upstream = rng.normal(size=out.shape)
+    ad.backward(ad.sum_(ad.mul(out, Tensor(upstream))))
+    expect = np.zeros((5, 3))
+    np.add.at(expect, idx, upstream)
+    assert np.array_equal(a.grad, expect)
 
 
 def test_no_grad_suppresses_recording():

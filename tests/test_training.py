@@ -1,7 +1,9 @@
 """Config/presets, training-loop contracts (zero-epoch identity, determinism,
-NaN abort with last-good checkpoint), warm starts, and evaluation helpers."""
+NaN abort with last-good checkpoint), warm starts, evaluation helpers, and
+the padded mini-batch pass against the per-graph path."""
 
 import dataclasses
+import functools
 import json
 import os
 import struct
@@ -9,12 +11,16 @@ import struct
 import numpy as np
 import pytest
 
+from grat import autodiff as ad
+from grat import graph as gm
 from grat import training as tr
+from grat.attention import encode, encode_batch, readout_cls
 from grat.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from grat.data import (gen_copy_dataset, gen_property_dataset, load_dataset,
                        write_jsonl)
+from grat.decoder import build_decoder_batch, decode_batch, decode_forward
 from grat.errors import CheckpointError, ContractError, DataError, NumericError
-from grat.objectives import exact_match
+from grat.objectives import cross_entropy_mean, exact_match, l1_mean, property_forward
 from grat.training import (PRESETS, RunConfig, config_from_dict, load_config,
                            model_from_checkpoint, train)
 
@@ -239,3 +245,166 @@ class TestCheckpointContract:
         save_checkpoint(cfg.out_checkpoint, ckpt.params, ckpt.config)
         with pytest.raises(CheckpointError, match=match):
             model_from_checkpoint(cfg.out_checkpoint)
+
+
+# ---------------------------------------------------------------------------
+# the padded mini-batch pass
+
+
+def random_graph(rng, n, n_labels=3, n_edge_types=2):
+    labels = [gm.N_RESERVED_LABELS + int(rng.integers(0, n_labels)) for _ in range(n)]
+    edges = [(i, j, gm.N_RESERVED_EDGES + int(rng.integers(0, n_edge_types)))
+             for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+    return gm.graph_from_edge_list(labels, edges)
+
+
+def perturb_film(params, seed):
+    """Move every conditioner output layer off its identity-FiLM zero init."""
+    rng = np.random.default_rng(seed)
+    for name, p in params.items():
+        if ".cond.out." in name:
+            p.data = rng.normal(0.0, 0.3, p.data.shape)
+
+
+def loss_and_grads(params, build):
+    for p in params.values():
+        p.grad = None
+    loss = build()
+    ad.backward(loss)
+    return loss.item(), {name: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                         for name, p in params.items()}
+
+
+def mean_of(losses):
+    return ad.mul(functools.reduce(ad.add, losses), 1.0 / len(losses))
+
+
+def assert_close(batched, per_graph, tol=1e-12):
+    (loss, grads), (ref_loss, ref_grads) = batched, per_graph
+    assert abs(loss - ref_loss) <= tol
+    for name, grad in grads.items():
+        assert np.max(np.abs(grad - ref_grads[name]), initial=0.0) <= tol, name
+
+
+def translation_model(seed=0):
+    cfg = RunConfig(task="translate")
+    model = tr.TranslationModel.build(cfg.encoder_config(), cfg.decoder_config(),
+                                      gm.NodeLabelVocab(["A", "B", "C"]),
+                                      gm.EdgeTypeVocab(["single", "double"]), seed)
+    perturb_film(model.params, seed + 100)
+    return model
+
+
+def per_graph_translation_loss(model, src, batch):
+    """One pair's loss composed from its parts: the node cross-entropy plus,
+    when the target has edge decisions, the edge cross-entropy."""
+    enc_h = encode(model.enc_cfg, model.params, src)
+    node_logits, edge_logits = decode_forward(model.dec_cfg, model.params, enc_h, batch)
+    loss = cross_entropy_mean(node_logits, batch.node_targets)
+    if batch.n_target_pairs:
+        loss = ad.add(loss, cross_entropy_mean(edge_logits[:batch.n_target_pairs],
+                                               batch.pair_target_classes))
+    return loss
+
+
+def translation_pairs(model, rng, source_sizes, target_sizes):
+    return ([model.source_input([random_graph(rng, n)]) for n in source_sizes],
+            [build_decoder_batch(random_graph(rng, k)) for k in target_sizes])
+
+
+class TestBatchedPass:
+    @pytest.mark.parametrize("source_sizes, target_sizes", [
+        ((5, 2, 6, 1), (4, 0, 6, 1)),   # ragged, with a 0-node target
+        ((3, 1, 4), (1, 0, 1)),         # no target pairs in the whole batch
+    ])
+    def test_translation_batch_matches_mean_of_per_graph_losses(self, source_sizes,
+                                                                target_sizes):
+        model = translation_model()
+        srcs, batches = translation_pairs(model, np.random.default_rng(1), source_sizes,
+                                          target_sizes)
+        batched = loss_and_grads(model.params, lambda: model.batch_loss(srcs, batches))
+        per_graph = loss_and_grads(model.params, lambda: mean_of(
+            [per_graph_translation_loss(model, s, b) for s, b in zip(srcs, batches)]))
+        assert_close(batched, per_graph)
+        for s, b in zip(srcs, batches):
+            assert abs(model.loss_on(s, b).item()
+                       - per_graph_translation_loss(model, s, b).item()) <= 1e-12
+
+    def test_property_batch_matches_mean_of_per_graph_losses(self):
+        cfg = RunConfig(task="property")
+        model = tr.PropertyModel.build(cfg.encoder_config(), gm.NodeLabelVocab(["A", "B", "C"]),
+                                       gm.EdgeTypeVocab(["single", "double"]), ["x", "y"],
+                                       np.zeros(2), np.ones(2), seed=2)
+        perturb_film(model.params, 3)
+        rng = np.random.default_rng(4)
+        inputs = [gm.prepend_token(random_graph(rng, n), gm.TOK_CLS, gm.VIRTUAL)
+                  for n in (3, 7, 1, 5)]
+        targets = rng.normal(size=(len(inputs), 2))
+        batched = loss_and_grads(model.params, lambda: model.batch_loss(inputs, targets))
+        per_graph = loss_and_grads(model.params, lambda: mean_of([l1_mean(
+            property_forward(model.params, readout_cls(encode(model.enc_cfg, model.params, g),
+                                                       g.n)), t)
+            for g, t in zip(inputs, targets)]))
+        assert_close(batched, per_graph)
+
+    def test_padding_neither_leaks_nor_learns(self, monkeypatch):
+        model = translation_model(seed=5)
+        rng = np.random.default_rng(6)
+        (src,), (target,) = translation_pairs(model, rng, (4,), (3,))
+
+        def graph_a_loss(partner_size, partner_k):
+            (other,), (other_target,) = translation_pairs(model, rng, (partner_size,),
+                                                          (partner_k,))
+            with ad.no_grad():
+                enc_h = encode_batch(model.enc_cfg, model.params, [src, other])
+                node, edge = decode_batch(model.dec_cfg, model.params, enc_h,
+                                          [src.n, other.n], [target, other_target])
+            pairs = target.n_target_pairs
+            return (cross_entropy_mean(node[:target.k + 1], target.node_targets).item()
+                    + cross_entropy_mean(edge[:pairs], target.pair_target_classes).item())
+
+        with ad.no_grad():
+            alone = model.loss_on(src, target).item()
+        # partners with fewer and with more encoder rows and decoder positions
+        for partner in ((1, 0), (2, 1), (7, 5), (3, 6)):
+            assert abs(graph_a_loss(*partner) - alone) <= 1e-12
+
+        # every embedded row of a padded batch: padding rows get exactly zero
+        # gradient, real rows do not
+        embedded = []
+        gather = ad.embedding_gather
+
+        def recording(table, ids):
+            out = gather(table, ids)
+            if table is model.params["enc.embed"] or table is model.params["dec.embed"]:
+                embedded.append((out, np.asarray(ids)))
+            return out
+
+        monkeypatch.setattr(ad, "embedding_gather", recording)
+        srcs, batches = translation_pairs(model, rng, (2, 6, 3), (5, 1, 0))
+        ad.backward(model.batch_loss(srcs, batches))
+        assert len(embedded) == 2
+        for rows, ids in embedded:
+            padding = ids == gm.TOK_PAD
+            assert padding.any()
+            assert not rows.grad[padding].any()
+            assert np.abs(rows.grad[~padding]).sum(axis=1).all()
+
+    def test_evaluate_property_matches_per_graph_predict(self, tmp_path):
+        path = tmp_path / "prop.jsonl"
+        # more graphs than one padded pass takes, of 1 to 12 nodes
+        write_jsonl(path, gen_property_dataset(tr.PREDICT_BATCH + 6, seed=3, max_nodes=12))
+        data = load_dataset(path)
+        graphs, tasks = data.graphs, sorted(data.graphs[0].properties)
+        model = tr.PropertyModel.build(RunConfig(task="property").encoder_config(),
+                                       data.label_vocab, data.edge_vocab, tasks,
+                                       np.array([1.0, -2.0]), np.array([0.5, 3.0]), seed=7)
+        perturb_film(model.params, 8)
+        singles = [model.predict(g) for g in graphs]
+        for batched, single in zip(model.predict_batch(graphs), singles):
+            for task in tasks:
+                assert abs(batched[task] - single[task]) <= 1e-12
+        report = tr.evaluate_property(model, graphs)
+        for task in tasks:
+            expect = np.mean([abs(p[task] - g.properties[task]) for p, g in zip(singles, graphs)])
+            assert abs(report.per_task_mae[task] - expect) <= 1e-12
