@@ -1,14 +1,13 @@
 """Edge-conditioned multi-head self-attention and the encoder stack.
 
 Attention logits between nodes i and j are modulated feature-wise by
-(gamma_ij, beta_ij) produced from the edge type (plus optional scalar edge
-features) by a small conditioner MLP, then scaled by 1/sqrt(d_k) and
-softmaxed:
+(gamma_ij, beta_ij) produced from the edge type by a small conditioner MLP,
+then scaled by 1/sqrt(d_k) and softmaxed:
 
     weights = softmax((Gamma * (Q K^T) + B) / sqrt(d_k))
 
-One (gamma, beta) pair is produced per edge per layer and shared across all
-heads of that layer. The conditioner's output layer starts at zero, so
+One (gamma, beta) pair is produced per edge type per layer and shared across
+all heads of that layer. The conditioner's output layer starts at zero, so
 training begins at exact vanilla attention (gamma = 1 + raw, beta = raw).
 
 All heads of a layer run as one autodiff op (autodiff.multi_head_attention):
@@ -44,7 +43,6 @@ class EncoderConfig:
     neighbor_only: bool = False
     max_context: int = 64
     node_feature_dim: int = 0
-    edge_feature_dim: int = 0
 
     def __post_init__(self):
         for name in ("layers", "heads", "width", "ff_width", "cond_hidden", "max_context"):
@@ -59,43 +57,33 @@ class EncoderConfig:
 
 
 def init_conditioner(params: dict[str, Tensor], name: str, rng: np.random.Generator,
-                     n_edge_types: int, hidden: int, layers: int, edge_feature_dim: int = 0):
-    """Conditioner MLP: one-hot edge type (+ features) -> tanh hidden -> 2L raw."""
-    bound = math.sqrt(6.0 / (n_edge_types + edge_feature_dim + hidden))
+                     n_edge_types: int, hidden: int, layers: int):
+    """Conditioner MLP: one-hot edge type -> tanh hidden -> 2L raw."""
+    bound = math.sqrt(6.0 / (n_edge_types + hidden))
     params[f"{name}.onehot"] = Tensor(
         rng.uniform(-bound, bound, size=(n_edge_types, hidden)), requires_grad=True)
-    if edge_feature_dim:
-        params[f"{name}.featw"] = Tensor(
-            rng.uniform(-bound, bound, size=(edge_feature_dim, hidden)), requires_grad=True)
     params[f"{name}.b1"] = Tensor(np.zeros(hidden), requires_grad=True)
     init_affine(params, f"{name}.out", rng, hidden, 2 * layers, zero=True)
 
 
 def edge_gamma_beta(params: dict[str, Tensor], name: str, edge_matrix: np.ndarray,
-                    n_layers: int, edge_features: np.ndarray | None = None
-                    ) -> tuple[list[Tensor], list[Tensor]]:
+                    n_layers: int) -> tuple[list[Tensor], list[Tensor]]:
     """Per-layer modulation matrices for every node pair.
 
     Returns (gammas, betas), each a list of n_layers tensors shaped like
-    edge_matrix, which may be rectangular (queries by keys).
-    The one-hot input layer is realized as a row gather, which is exactly the
-    one-hot matrix product.
+    edge_matrix, which may be rectangular (queries by keys) or batched. The
+    MLP runs once, on the one-hot rows of the edge vocabulary, and each pair
+    gathers its edge type's row of that table.
     """
     onehot = params[f"{name}.onehot"]
-    shape = np.shape(edge_matrix)
-    ids = np.asarray(edge_matrix, dtype=np.int64).reshape(-1)
+    ids = np.asarray(edge_matrix, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= onehot.shape[0]):
         raise ContractError(
             f"edge id out of range: vocabulary has {onehot.shape[0]} edge types")
-    h = ad.add(ad.embedding_gather(onehot, ids), params[f"{name}.b1"])
-    if edge_features is not None:
-        feats = np.asarray(edge_features, dtype=np.float64).reshape(ids.size, -1)
-        h = ad.add(h, ad.matmul(Tensor(feats), params[f"{name}.featw"]))
-    raw = affine(params, f"{name}.out", ad.tanh(h))
-    gammas, betas = [], []
-    for layer in range(n_layers):
-        gammas.append(ad.reshape(ad.add(raw[:, 2 * layer], 1.0), shape))
-        betas.append(ad.reshape(raw[:, 2 * layer + 1], shape))
+    table = affine(params, f"{name}.out", ad.tanh(ad.add(onehot, params[f"{name}.b1"])))
+    raw = ad.embedding_gather(table, ids)
+    gammas = [ad.add(raw[..., 2 * layer], 1.0) for layer in range(n_layers)]
+    betas = [raw[..., 2 * layer + 1] for layer in range(n_layers)]
     return gammas, betas
 
 
@@ -112,8 +100,7 @@ def init_encoder_params(cfg: EncoderConfig, n_labels: int, n_edge_types: int,
     init_embedding(params, f"{prefix}.embed", rng, n_labels, cfg.width)
     if cfg.node_feature_dim:
         init_affine(params, f"{prefix}.feat", rng, cfg.node_feature_dim, cfg.width)
-    init_conditioner(params, f"{prefix}.cond", rng, n_edge_types, cfg.cond_hidden,
-                     cfg.layers, cfg.edge_feature_dim)
+    init_conditioner(params, f"{prefix}.cond", rng, n_edge_types, cfg.cond_hidden, cfg.layers)
     for i in range(cfg.layers):
         base = f"{prefix}.l{i}"
         for proj in ("q", "k", "v", "o"):
@@ -179,10 +166,10 @@ def encode_batch(cfg: EncoderConfig, params: dict[str, Tensor], graphs: list[Gra
         if g.n > cfg.max_context:
             raise CapacityError(
                 f"graph has {g.n} nodes, encoder context limit is {cfg.max_context}")
-        if cfg.node_feature_dim and (g.node_features is None
-                                     or g.node_features.shape[1] != cfg.node_feature_dim):
-            raise ContractError(
-                f"encoder expects node features of width {cfg.node_feature_dim}")
+        width = 0 if g.node_features is None else g.node_features.shape[1]
+        if width != cfg.node_feature_dim:
+            raise ContractError(f"encoder expects node features of width "
+                                f"{cfg.node_feature_dim}, graph has width {width}")
     sizes = np.array([g.n for g in graphs])
     batch, n = len(graphs), int(sizes.max())
     labels = np.full((batch, n), TOK_PAD, dtype=np.int64)
@@ -198,14 +185,7 @@ def encode_batch(cfg: EncoderConfig, params: dict[str, Tensor], graphs: list[Gra
         x = ad.add(x, affine(params, f"{prefix}.feat", Tensor(feats.reshape(batch * n, -1))))
     if cfg.use_positional_encoding:
         x = ad.add(x, Tensor(np.tile(positional_encoding(n, cfg.width), (batch, 1))))
-    edge_features = None
-    if cfg.edge_feature_dim:
-        # a graph without edge features contributes zeros, which adds nothing
-        edge_features = np.zeros((batch, n, n, cfg.edge_feature_dim))
-        for b, g in enumerate(graphs):
-            if g.edge_features is not None:
-                edge_features[b, :g.n, :g.n] = g.edge_features
-    gammas, betas = edge_gamma_beta(params, f"{prefix}.cond", edges, cfg.layers, edge_features)
+    gammas, betas = edge_gamma_beta(params, f"{prefix}.cond", edges, cfg.layers)
     real = np.arange(n) < sizes[:, None]
     mask = neighbor_mask(edges, cfg.neighbor_only) & real[:, :, None] & real[:, None, :]
     collected = []

@@ -297,9 +297,9 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def _is_basic_index(idx) -> bool:
-    """Ints and slices select each element at most once."""
+    """Ints, slices and Ellipsis select each element at most once."""
     parts = idx if isinstance(idx, tuple) else (idx,)
-    return all(isinstance(p, (int, np.integer, slice)) for p in parts)
+    return all(p is Ellipsis or isinstance(p, (int, np.integer, slice)) for p in parts)
 
 
 def take(a: Tensor, idx) -> Tensor:

@@ -124,15 +124,15 @@ class GraphPermutation:
 class Graph:
     """Labeled nodes in canonical order plus a typed symmetric edge matrix.
 
-    ``edges[i][j]`` holds an edge-type id; the diagonal is always SELF and
-    unconnected pairs are NO_BOND. ``delim`` is metadata naming the delimiter
-    token this graph travels under in multi-graph inputs (not a node).
+    ``edges[i][j]`` holds an edge-type id, all that an edge carries; the
+    diagonal is always SELF and unconnected pairs are NO_BOND. ``delim`` is
+    metadata naming the delimiter token this graph travels under in
+    multi-graph inputs (not a node).
     """
 
     labels: tuple[int, ...]
     edges: np.ndarray
     node_features: np.ndarray | None = None
-    edge_features: np.ndarray | None = None
     properties: dict[str, float] | None = None
     delim: int | None = None
 
@@ -142,19 +142,12 @@ class Graph:
         n = len(self.labels)
         if self.edges.shape != (n, n):
             raise ContractError(f"edge matrix shape {self.edges.shape} for {n} nodes")
-        if self.node_features is not None:
-            self.node_features = np.asarray(self.node_features, dtype=np.float64)
-            if self.node_features.shape[0] != n:
-                raise ContractError("node_features row count != node count")
-        if self.edge_features is not None:
-            self.edge_features = np.asarray(self.edge_features, dtype=np.float64)
-            if self.edge_features.shape[:2] != (n, n):
-                raise ContractError("edge_features leading shape != (n, n)")
         self.edges.flags.writeable = False
         if self.node_features is not None:
+            self.node_features = np.asarray(self.node_features, dtype=np.float64)
+            if self.node_features.ndim != 2 or self.node_features.shape[0] != n:
+                raise ContractError(f"node_features must be 2-d with one row per node ({n})")
             self.node_features.flags.writeable = False
-        if self.edge_features is not None:
-            self.edge_features.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -165,12 +158,11 @@ class Graph:
             return NotImplemented
         if self.labels != other.labels or not np.array_equal(self.edges, other.edges):
             return False
-        for mine, theirs in ((self.node_features, other.node_features),
-                             (self.edge_features, other.edge_features)):
-            if (mine is None) != (theirs is None):
-                return False
-            if mine is not None and not np.array_equal(mine, theirs):
-                return False
+        mine, theirs = self.node_features, other.node_features
+        if (mine is None) != (theirs is None):
+            return False
+        if mine is not None and not np.array_equal(mine, theirs):
+            return False
         return self.properties == other.properties and self.delim == other.delim
 
 
@@ -241,12 +233,8 @@ def permute(g: Graph, perm: GraphPermutation) -> Graph:
     if g.node_features is not None:
         node_features = np.empty_like(g.node_features)
         node_features[p] = g.node_features
-    edge_features = None
-    if g.edge_features is not None:
-        edge_features = np.empty_like(g.edge_features)
-        edge_features[np.ix_(p, p)] = g.edge_features
     return Graph(labels=tuple(labels), edges=edges, node_features=node_features,
-                 edge_features=edge_features, properties=g.properties, delim=g.delim)
+                 properties=g.properties, delim=g.delim)
 
 
 def prepend_token(g: Graph, token: int, link: int) -> Graph:
@@ -262,13 +250,8 @@ def prepend_token(g: Graph, token: int, link: int) -> Graph:
     node_features = None
     if g.node_features is not None:
         node_features = np.vstack([np.zeros((1, g.node_features.shape[1])), g.node_features])
-    edge_features = None
-    if g.edge_features is not None:
-        width = g.edge_features.shape[2]
-        edge_features = np.zeros((n + 1, n + 1, width))
-        edge_features[1:, 1:] = g.edge_features
     return Graph(labels=(token,) + g.labels, edges=edges, node_features=node_features,
-                 edge_features=edge_features, properties=g.properties)
+                 properties=g.properties)
 
 
 def concat_graphs(parts: Sequence[tuple[int, Graph]]) -> Graph:

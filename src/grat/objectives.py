@@ -131,8 +131,7 @@ def mask_graph(g: Graph, rate: float, rng: np.random.Generator) -> MaskedGraphSa
                 if rng.random() < 0.5:
                     edge_targets[(i, j)] = int(edges[i, j])
                     edges[i, j] = edges[j, i] = MASK_EDGE
-    corrupted = Graph(labels=tuple(labels), edges=edges,
-                      node_features=g.node_features, edge_features=g.edge_features,
+    corrupted = Graph(labels=tuple(labels), edges=edges, node_features=g.node_features,
                       properties=g.properties)
     return MaskedGraphSample(graph=corrupted, node_targets=node_targets,
                              edge_targets=edge_targets)

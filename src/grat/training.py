@@ -98,6 +98,10 @@ class RunConfig:
             raise ContractError(f"unknown preset {self.preset!r}")
         if self.selection not in ("val", "last"):
             raise ContractError(f"selection must be 'val' or 'last', got {self.selection!r}")
+        for section, known in (("encoder", EncoderConfig), ("decoder", DecoderConfig)):
+            unknown = set(getattr(self, section)) - {f.name for f in dataclasses.fields(known)}
+            if unknown:
+                raise DataError(f"unknown {section} config keys {sorted(unknown)}")
 
     def encoder_config(self) -> EncoderConfig:
         fields = dict(PRESETS[self.preset]["encoder"])
@@ -604,7 +608,13 @@ def model_from_checkpoint(path):
     try:
         lv = NodeLabelVocab(cfg.get("labels", []))
         ev = EdgeTypeVocab(cfg.get("edges", []))
-        enc_cfg = EncoderConfig(**cfg.get("encoder", {}))
+        enc_fields = dict(cfg.get("encoder", {}))
+        # older versions record fields since removed; each loads only at 0, its off value
+        for name in sorted(set(enc_fields) - {f.name for f in dataclasses.fields(EncoderConfig)}):
+            if enc_fields.pop(name):
+                raise CheckpointError(f"checkpoint sets encoder field {name!r}, which this "
+                                      f"version of grat does not have")
+        enc_cfg = EncoderConfig(**enc_fields)
         dec_cfg = DecoderConfig(**cfg.get("decoder", {})) if task == "translate" else None
         tasks = [] if task == "translate" else list(cfg.get("tasks", []))
         mu = np.array(cfg.get("mu", []), dtype=np.float64)

@@ -2,7 +2,7 @@
 
 Every function here recomputes expected values by a route that shares no code
 with the library: scalar loops, high-precision arithmetic, brute-force
-enumeration, or central finite differences. There are two exceptions, each
+enumeration, or central finite differences. There are four exceptions, each
 built from the library's own elementary ops:
   - greedy_reference checks the cached search against the library's uncached
     teacher-forced pass;
@@ -11,7 +11,9 @@ built from the library's own elementary ops:
     deriving the backward, to check the fused all-heads op and its hand-written
     backward;
   - affine_reference and add_layer_norm_reference compose the fused affine and
-    residual layer-norm ops from matmul, add and the plain layer norm.
+    residual layer-norm ops from matmul, add and the plain layer norm;
+  - edge_gamma_beta_per_pair runs the FiLM conditioner MLP on every node pair,
+    to check the library's one evaluation per edge type.
 """
 
 from __future__ import annotations
@@ -153,3 +155,19 @@ def add_layer_norm_reference(x: Tensor, residual: Tensor, gain: Tensor, bias: Te
                              ) -> Tensor:
     """layer_norm(x + residual) as two recorded ops."""
     return ad.layer_norm(ad.add(x, residual), gain, bias)
+
+
+def edge_gamma_beta_per_pair(params: dict[str, Tensor], name: str, edge_matrix: np.ndarray,
+                             n_layers: int) -> tuple[list[Tensor], list[Tensor]]:
+    """attention.edge_gamma_beta with the conditioner MLP run on every pair:
+    the one-hot layer is a row gather of each pair's type, then tanh and the
+    output affine map run on all pairs."""
+    shape = np.shape(edge_matrix)
+    ids = np.asarray(edge_matrix, dtype=np.int64).reshape(-1)
+    h = ad.add(ad.embedding_gather(params[f"{name}.onehot"], ids), params[f"{name}.b1"])
+    raw = ad.affine(ad.tanh(h), params[f"{name}.out.w"], params[f"{name}.out.b"])
+    gammas, betas = [], []
+    for layer in range(n_layers):
+        gammas.append(ad.reshape(ad.add(raw[:, 2 * layer], 1.0), shape))
+        betas.append(ad.reshape(raw[:, 2 * layer + 1], shape))
+    return gammas, betas

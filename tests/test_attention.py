@@ -1,6 +1,9 @@
 """Edge-conditioned attention: FiLM identity equivalence, conditioner
 semantics, masking, encoder equivariance, and gradient flow."""
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
@@ -12,8 +15,8 @@ from grat.autodiff import Tensor
 from grat.errors import CapacityError, ContractError, DimensionError
 from grat.graph import Graph, GraphPermutation, NO_BOND, SELF, TOK_CLS, VIRTUAL
 
-from oracles import (finite_difference_grad, multi_head_film_reference, relative_error,
-                     softmax_row_highprec)
+from oracles import (edge_gamma_beta_per_pair, finite_difference_grad,
+                     multi_head_film_reference, relative_error, softmax_row_highprec)
 
 CFG = EncoderConfig(layers=2, heads=2, width=8, ff_width=16, cond_hidden=4)
 
@@ -81,6 +84,53 @@ class TestConditioner:
         params = make_params()
         with pytest.raises(ContractError, match="edge id"):
             att.edge_gamma_beta(params, "enc.cond", np.array([[2, 99], [99, 2]]), CFG.layers)
+
+    # every shape holds more than one pair: on a single row numpy's matmul takes
+    # its vector path, and the per-pair reference can round one ulp apart
+    @pytest.mark.parametrize("shape", [(16, 13, 13), (8, 2, 9)],
+                             ids=["batched-square", "decoder-step"])
+    def test_table_matches_per_pair_oracle(self, shape):
+        params = make_params(seed=5)
+        rng = np.random.default_rng(6)
+        for name in ("enc.cond.out.w", "enc.cond.out.b"):
+            params[name].data = rng.normal(size=params[name].shape)
+        edges = rng.integers(0, 7, size=shape)
+        upstream = [Tensor(rng.normal(size=shape)) for _ in range(2 * CFG.layers)]
+        results = []
+        for fn in (att.edge_gamma_beta, edge_gamma_beta_per_pair):
+            for p in params.values():
+                p.grad = None
+            gammas, betas = fn(params, "enc.cond", edges, CFG.layers)
+            outputs = gammas + betas
+            ad.backward(functools.reduce(ad.add, [ad.sum_(ad.mul(t, up))
+                                                  for t, up in zip(outputs, upstream)]))
+            results.append(([t.data for t in outputs],
+                            {name: p.grad.copy() for name, p in params.items()
+                             if ".cond." in name}))
+        (outputs, grads), (ref_outputs, ref_grads) = results
+        for got, expect in zip(outputs, ref_outputs):
+            assert got.shape == shape and np.array_equal(got, expect)
+        assert set(grads) == {"enc.cond.onehot", "enc.cond.b1", "enc.cond.out.w",
+                              "enc.cond.out.b"}
+        for name, expect in ref_grads.items():
+            np.testing.assert_allclose(grads[name], expect, rtol=1e-12, atol=0, err_msg=name)
+
+    def test_tape_does_not_grow_with_pairs(self, monkeypatch):
+        """The MLP runs on the V rows of the edge vocabulary, whatever the
+        number of pairs, so a larger edge matrix records no more nodes."""
+        params = make_params()
+        recorded, affine_rows = [], []
+        make, affine = ad._make, ad.affine
+        monkeypatch.setattr(ad, "_make", lambda *args: recorded.append(1) or make(*args))
+        monkeypatch.setattr(ad, "affine",
+                            lambda x, w, b: affine_rows.append(x.shape[0]) or affine(x, w, b))
+        counts = []
+        for shape in ((2, 2), (16, 13, 13)):
+            before = len(recorded)
+            att.edge_gamma_beta(params, "enc.cond", np.full(shape, SELF), CFG.layers)
+            counts.append(len(recorded) - before)
+        assert counts[0] == counts[1] > 0
+        assert affine_rows == [params["enc.cond.onehot"].shape[0]] * 2
 
 
 def fused_and_reference(rng, heads, nq, nk, film=True, mask=None, dk=3, dv=2):
@@ -271,15 +321,39 @@ class TestEncode:
         assert h.shape == (1, CFG.width)
         assert np.all(np.isfinite(h.data))
 
-    def test_permutation_equivariance_without_positional_encoding(self):
-        params = make_params(seed=8)
+    @pytest.mark.parametrize("feature_width", [0, 3])
+    def test_permutation_equivariance_without_positional_encoding(self, feature_width):
+        cfg = dataclasses.replace(CFG, node_feature_dim=feature_width)
+        params = make_params(cfg, seed=8)
         rng = np.random.default_rng(9)
         g = small_graph(rng, n=6)
-        h = att.encode(CFG, params, g)
+        if feature_width:
+            g = Graph(g.labels, g.edges, node_features=rng.normal(size=(6, feature_width)))
+        h = att.encode(cfg, params, g)
         for _ in range(5):
             perm = GraphPermutation(tuple(rng.permutation(6)))
-            hp = att.encode(CFG, params, gm.permute(g, perm))
+            hp = att.encode(cfg, params, gm.permute(g, perm))
             assert np.max(np.abs(hp.data[list(perm.mapping)] - h.data)) < 1e-8
+
+    def test_node_features_reach_the_output(self):
+        cfg = dataclasses.replace(CFG, node_feature_dim=2)
+        params = make_params(cfg, seed=20)
+        g = gm.graph_from_edge_list([8, 9, 10], [(0, 1, 5)], node_features=np.ones((3, 2)))
+        other = Graph(g.labels, g.edges, node_features=np.array([[1.0, 1.0], [1.0, 1.0],
+                                                                [1.0, -1.0]]))
+        h, h_other = att.encode(cfg, params, g).data, att.encode(cfg, params, other).data
+        assert np.max(np.abs(h - h_other)) > 1e-3
+
+    @pytest.mark.parametrize("encoder_width, graph_width", [(0, 3), (3, 0), (3, 2)],
+                             ids=["unconfigured", "missing", "mismatched"])
+    def test_node_features_the_encoder_cannot_use_rejected(self, encoder_width, graph_width):
+        cfg = dataclasses.replace(CFG, node_feature_dim=encoder_width)
+        params = make_params(cfg)
+        feats = np.ones((2, graph_width)) if graph_width else None
+        g = gm.graph_from_edge_list([8, 9], [(0, 1, 5)], node_features=feats)
+        with pytest.raises(ContractError, match=f"node features of width {encoder_width}, "
+                                                f"graph has width {graph_width}"):
+            att.encode(cfg, params, g)
 
     def test_positional_encoding_breaks_equivariance(self):
         cfg = EncoderConfig(layers=1, heads=2, width=8, ff_width=16, cond_hidden=4,

@@ -186,7 +186,7 @@ def test_fused_op_shape_errors():
 
 
 @pytest.mark.parametrize("idx", [0, slice(1, 4), slice(None, None, 2), (slice(None), 1),
-                                 (2, slice(0, 2)), np.array([0, 2, 2, 4])])
+                                 (2, slice(0, 2)), (Ellipsis, 2), np.array([0, 2, 2, 4])])
 def test_take_backward_matches_scatter_add(idx):
     # basic indices assign their gradient, fancy ones scatter-add duplicates
     rng = np.random.default_rng(3)

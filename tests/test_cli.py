@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, file outputs."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 
 from grat import cli
 from grat.checkpoint import load_checkpoint, save_checkpoint
-from grat.data import write_jsonl
+from grat.data import gen_property_dataset, load_dataset, write_jsonl
+from grat.training import evaluate_property, load_config, model_from_checkpoint, train
 
 
 def run(argv):
@@ -27,6 +29,24 @@ def copy_setup(tmp_path):
         "batch_size": 8, "max_steps": 2, "out_checkpoint": str(ckpt)}))
     assert run(["train", "--config", config]) == 0
     return tmp_path, data, ckpt
+
+
+def property_setup(tmp_path, name, feature_width):
+    """A trained property checkpoint on a JSONL whose graphs carry feat rows of
+    feature_width (none at 0), with encoder.node_feature_dim set to match."""
+    records = gen_property_dataset(24, seed=4, max_nodes=5)
+    rng = np.random.default_rng(0)
+    for record in records:
+        if feature_width:
+            record["feat"] = rng.normal(size=(len(record["nodes"]), feature_width)).tolist()
+    data, config = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.json"
+    write_jsonl(data, records)
+    config.write_text(json.dumps({
+        "task": "property", "data": str(data), "seed": 0, "epochs": 1, "batch_size": 8,
+        "max_steps": 2, "encoder": {"node_feature_dim": feature_width},
+        "out_checkpoint": str(tmp_path / f"{name}.ckpt")}))
+    assert run(["train", "--config", config]) == 0
+    return data, config, tmp_path / f"{name}.ckpt"
 
 
 class TestGenData:
@@ -76,8 +96,12 @@ class TestTrainEval:
         lambda params, config: (params, [1, 2]),
         lambda params, config: (params, dict(config, labels=5)),
         lambda params, config: (params, dict(config, labels=["<G>"])),
+        lambda params, config: (params, dict(config, encoder=dict(config["encoder"],
+                                                                  edge_feature_dim=3))),
+        lambda params, config: (dict(params, **{"enc.cond.featw": params["enc.cond.onehot"]}),
+                                config),
     ], ids=["missing", "wrong-shape", "extra", "config-list", "labels-int",
-            "labels-reserved"])
+            "labels-reserved", "edge-feature-width", "edge-feature-weights"])
     def test_generate_rejects_checkpoint_unlike_its_config(self, copy_setup, capsys,
                                                            corrupt):
         _, data, ckpt = copy_setup
@@ -205,3 +229,30 @@ class TestDumpAttention:
         graph_file.write_text(json.dumps(record) + "\n")
         assert run(["dump-attention", "--ckpt", ckpt, "--graph", graph_file,
                     "--layer", 99, "--out", tmp_path / "x.csv"]) == 1
+
+
+class TestNodeFeatures:
+    def test_train_then_eval_matches_in_process_model(self, tmp_path, capsys):
+        data, config, ckpt = property_setup(tmp_path, "feat", 3)
+        cfg = load_config(config)
+        model, _ = train(dataclasses.replace(cfg, out_checkpoint=str(tmp_path / "again.ckpt")))
+        loaded, _ = model_from_checkpoint(ckpt)
+        assert loaded.enc_cfg.node_feature_dim == 3 and "enc.feat.w" in loaded.params
+        graphs = load_dataset(data, vocabs=(model.label_vocab, model.edge_vocab)).graphs
+        for g in graphs:
+            assert loaded.predict(g) == model.predict(g)
+        metrics = tmp_path / "m.json"
+        assert run(["eval", "--ckpt", ckpt, "--data", data, "--metrics-out", metrics]) == 0
+        expect = json.dumps(evaluate_property(model, graphs).to_dict())
+        assert json.loads(metrics.read_text()) == json.loads(expect)
+
+    def test_features_the_model_cannot_use_are_usage_errors(self, tmp_path, capsys):
+        feat_data, _, feat_ckpt = property_setup(tmp_path, "feat", 3)
+        plain_data, _, plain_ckpt = property_setup(tmp_path, "plain", 0)
+        for ckpt, data, widths in ((plain_ckpt, feat_data, (0, 3)),
+                                   (feat_ckpt, plain_data, (3, 0))):
+            capsys.readouterr()
+            assert run(["eval", "--ckpt", ckpt, "--data", data]) == 1
+            err = capsys.readouterr().err
+            assert err == (f"grat: encoder expects node features of width {widths[0]}, "
+                           f"graph has width {widths[1]}\n")

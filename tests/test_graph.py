@@ -24,7 +24,7 @@ def label_ids(vocabs):
     return lv.id("C"), lv.id("N"), lv.id("O")
 
 
-def random_graph(rng, vocabs, n=None, with_props=False):
+def random_graph(rng, vocabs, n=None, with_props=False, feature_width=0):
     lv, ev = vocabs
     n = int(rng.integers(1, 9)) if n is None else n
     labels = rng.choice(list(lv.real_ids), size=n)
@@ -36,7 +36,9 @@ def random_graph(rng, vocabs, n=None, with_props=False):
                 t = int(rng.choice(list(ev.real_ids)))
                 edges[i, j] = edges[j, i] = t
     props = {"y": float(rng.normal())} if with_props else None
-    return Graph(labels=tuple(int(x) for x in labels), edges=edges, properties=props)
+    feats = rng.normal(size=(n, feature_width)) if feature_width else None
+    return Graph(labels=tuple(int(x) for x in labels), edges=edges, node_features=feats,
+                 properties=props)
 
 
 class TestVocab:
@@ -87,6 +89,13 @@ class TestValidate:
         assert any("reserved" in v for v in gm.validate(g, *vocabs))
 
 
+@pytest.mark.parametrize("feats", [np.ones(3), np.ones((2, 2)), np.ones((3, 2, 1))],
+                         ids=["1-d", "row-count", "3-d"])
+def test_node_features_must_be_one_row_per_node(feats):
+    with pytest.raises(ContractError, match="node_features"):
+        gm.graph_from_edge_list([8, 9, 10], [], node_features=feats)
+
+
 class TestPermute:
     def test_identity(self, vocabs):
         rng = np.random.default_rng(0)
@@ -99,9 +108,10 @@ class TestPermute:
         perm = GraphPermutation(tuple(rng.permutation(6)))
         assert gm.permute(gm.permute(g, perm), perm.inverse()) == g
 
-    def test_path_relabeling_matches_bruteforce(self, vocabs):
+    @pytest.mark.parametrize("feats", [None, np.arange(6.0).reshape(3, 2)])
+    def test_path_relabeling_matches_bruteforce(self, vocabs, feats):
         c, n_, o = label_ids(vocabs)
-        g = gm.graph_from_edge_list([c, n_, o], [(0, 1, 5), (1, 2, 6)])
+        g = gm.graph_from_edge_list([c, n_, o], [(0, 1, 5), (1, 2, 6)], node_features=feats)
         perm = GraphPermutation((2, 0, 1))
         got = gm.permute(g, perm)
         # brute-force relabel: entry (pi(i), pi(j)) carries old (i, j)
@@ -111,6 +121,10 @@ class TestPermute:
                 expect[perm.mapping[i], perm.mapping[j]] = g.edges[i, j]
         assert np.array_equal(got.edges, expect)
         assert got.labels == (n_, o, c)
+        if feats is None:
+            assert got.node_features is None
+        else:  # node i's feature row moves with it
+            assert got.node_features.tolist() == [[2.0, 3.0], [4.0, 5.0], [0.0, 1.0]]
 
     def test_size_mismatch(self, vocabs):
         rng = np.random.default_rng(2)
@@ -137,9 +151,10 @@ class TestSerialize:
         double = vocabs[1].id("double")
         assert g.edges[0, 1] == double and g.edges[1, 0] == double
 
-    def test_round_trip_random_graph(self, vocabs):
+    @pytest.mark.parametrize("feature_width", [0, 3])
+    def test_round_trip_random_graph(self, vocabs, feature_width):
         rng = np.random.default_rng(4)
-        g = random_graph(rng, vocabs, n=8, with_props=True)
+        g = random_graph(rng, vocabs, n=8, with_props=True, feature_width=feature_width)
         assert gm.parse(gm.serialize(g, *vocabs), *vocabs) == g
 
     def test_delim_round_trip(self, vocabs):
@@ -190,15 +205,22 @@ class TestPrepend:
         assert out.n == 1 and out.labels == (TOK_CLS,)
         assert out.edges[0, 0] == SELF
 
-    def test_prepend_preserves_all_pairs(self, vocabs):
+    @pytest.mark.parametrize("feature_width", [0, 2])
+    def test_prepend_preserves_all_pairs(self, vocabs, feature_width):
         rng = np.random.default_rng(6)
         for _ in range(10):
-            g = random_graph(rng, vocabs)
+            g = random_graph(rng, vocabs, feature_width=feature_width)
             out = gm.prepend_token(g, TOK_CLS, VIRTUAL)
             assert out.n == g.n + 1
             for i in range(g.n):
                 for j in range(g.n):
                     assert out.edges[i + 1, j + 1] == g.edges[i, j]
+            if feature_width:  # the new node gets a zero row
+                assert out.node_features.shape == (g.n + 1, feature_width)
+                assert not out.node_features[0].any()
+                assert np.array_equal(out.node_features[1:], g.node_features)
+            else:
+                assert out.node_features is None
 
     def test_non_reserved_token_rejected(self, vocabs):
         g = random_graph(np.random.default_rng(7), vocabs, n=2)
@@ -225,11 +247,26 @@ class TestConcat:
         assert out.edges[0, 1] == VIRTUAL and out.edges[2, 3] == VIRTUAL
         assert out.edges[0, 2] == NO_BOND  # delimiters not linked to each other
 
-    def test_three_parts_block_structure(self, vocabs):
+    @pytest.mark.parametrize("feature_widths", [(0, 0, 0), (2, 2, 2), (2, 0, 2)],
+                             ids=["none", "all", "one-part-without"])
+    def test_three_parts_block_structure(self, vocabs, feature_widths):
         rng = np.random.default_rng(9)
-        parts = [(TOK_REACTANT, random_graph(rng, vocabs)) for _ in range(3)]
+        parts = [(TOK_REACTANT, random_graph(rng, vocabs, feature_width=w))
+                 for w in feature_widths]
         out = gm.concat_graphs(parts)
         assert gm.validate(out, *vocabs) == []
+        # feature rows: zero for delimiters and for the nodes of a featureless part
+        width = max(feature_widths)
+        if width:
+            expect = np.zeros((0, width))
+            for _, g in parts:
+                rows = np.zeros((g.n + 1, width))
+                if g.node_features is not None:
+                    rows[1:] = g.node_features
+                expect = np.vstack([expect, rows])
+            assert np.array_equal(out.node_features, expect)
+        else:
+            assert out.node_features is None
         # pairwise oracle: walk every pair, derive expectation from the layout
         spans = []
         offset = 0

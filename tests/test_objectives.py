@@ -19,10 +19,11 @@ FIRST_EDGE = len(gm.RESERVED_EDGE_NAMES)
 CFG = EncoderConfig(layers=1, heads=2, width=8, ff_width=16, cond_hidden=4)
 
 
-def chain_graph(k=4, props=None):
+def chain_graph(k=4, props=None, node_features=None):
     labels = [FIRST_LABEL + (i % 3) for i in range(k)]
     edge_list = [(i, i + 1, FIRST_EDGE + (i % 2)) for i in range(k - 1)]
-    return gm.graph_from_edge_list(labels, edge_list, properties=props)
+    return gm.graph_from_edge_list(labels, edge_list, properties=props,
+                                   node_features=node_features)
 
 
 class TestAggregateMetrics:
@@ -80,9 +81,15 @@ class TestMaskGraph:
         assert a.graph == b.graph
         assert a.node_targets == b.node_targets and a.edge_targets == b.edge_targets
 
-    def test_targets_exactly_at_corrupted_positions(self):
-        g = chain_graph(k=8)
+    @pytest.mark.parametrize("feats", [None, np.arange(16.0).reshape(8, 2)])
+    def test_targets_exactly_at_corrupted_positions(self, feats):
+        g = chain_graph(k=8, node_features=feats)
         sample = obj.mask_graph(g, 0.4, np.random.default_rng(2))
+        # feature rows are not masked: they stay with their nodes
+        if feats is None:
+            assert sample.graph.node_features is None
+        else:
+            assert np.array_equal(sample.graph.node_features, feats)
         for i, lab in enumerate(sample.graph.labels):
             assert (lab == TOK_MASK) == (i in sample.node_targets)
         for i in range(8):

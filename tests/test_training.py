@@ -59,6 +59,12 @@ class TestConfig:
         with pytest.raises(DataError, match="unknown config keys"):
             config_from_dict({"task": "translate", "bogus": 1})
 
+    @pytest.mark.parametrize("section, key", [("encoder", "edge_feature_dim"),
+                                              ("decoder", "bogus")])
+    def test_unknown_encoder_and_decoder_keys_rejected(self, section, key):
+        with pytest.raises(DataError, match=f"unknown {section} config keys \\['{key}'\\]"):
+            config_from_dict({"task": "translate", section: {key: 0}})
+
     def test_unknown_task_and_preset(self):
         with pytest.raises(ContractError):
             config_from_dict({"task": "paint"})
@@ -224,6 +230,43 @@ class TestCheckpointContract:
         loaded, _ = model_from_checkpoint(path)
         for g in data.graphs[:5]:
             assert model.predict(g) == loaded.predict(g)
+
+    @pytest.mark.parametrize("task", ["property", "translate"])
+    def test_snapshot_recording_zero_edge_feature_dim_loads(self, copy_data, prop_data,
+                                                            tmp_path, task):
+        # older versions record edge_feature_dim, 0 in every file they wrote
+        data = prop_data if task == "property" else copy_data
+        cfg = quick_cfg(task, data, tmp_path, max_steps=2)
+        model, _ = train(cfg)
+        ckpt = load_checkpoint(cfg.out_checkpoint)
+        assert "edge_feature_dim" not in ckpt.config["encoder"]
+        ckpt.config["encoder"]["edge_feature_dim"] = 0
+        save_checkpoint(cfg.out_checkpoint, ckpt.params, ckpt.config)
+        loaded, _ = model_from_checkpoint(cfg.out_checkpoint)
+        assert loaded.enc_cfg == model.enc_cfg
+        dataset = load_dataset(data, vocabs=(model.label_vocab, model.edge_vocab))
+        if task == "property":
+            for g in dataset.graphs[:5]:
+                assert loaded.predict(g) == model.predict(g)
+        else:
+            for srcs, _ in dataset.pairs[:3]:
+                assert [(r.graph, r.score, r.truncated) for r in loaded.generate(srcs, 2, 6)] \
+                    == [(r.graph, r.score, r.truncated) for r in model.generate(srcs, 2, 6)]
+
+    @pytest.mark.parametrize("edge_feature_dim, match", [
+        (0, r"unexpected 1 \(enc\.cond\.featw\)"), (3, "encoder field 'edge_feature_dim'")],
+        ids=["stray-weights", "nonzero-width"])
+    def test_checkpoint_with_edge_features_rejected(self, prop_data, tmp_path,
+                                                     edge_feature_dim, match):
+        cfg = quick_cfg("property", prop_data, tmp_path, epochs=0)
+        train(cfg)
+        ckpt = load_checkpoint(cfg.out_checkpoint)
+        ckpt.config["encoder"]["edge_feature_dim"] = edge_feature_dim
+        featw = ad.Tensor(np.ones((3, ckpt.params["enc.cond.b1"].shape[0])))
+        save_checkpoint(cfg.out_checkpoint, dict(ckpt.params, **{"enc.cond.featw": featw}),
+                        ckpt.config)
+        with pytest.raises(CheckpointError, match=match):
+            model_from_checkpoint(cfg.out_checkpoint)
 
     @pytest.mark.parametrize("change, match", [
         ({"mu": [0.0]}, "mu/sigma"),
