@@ -30,6 +30,9 @@ attend to <G> and the mask is causal, so a node's per-layer states are final
 once its label and edges are chosen. Beam search (greedy decoding is width 1)
 caches each hypothesis's node rows and decodes only the pending rows of all
 live hypotheses per step, in one batched pass, in the spirit of KV caching.
+The live set is a handful of arrays over hypotheses (labels, edges, scores,
+node cache) that survivors index by parent. Ties break in creation order,
+kept by stable sorts rather than by numbering the candidates.
 """
 
 from __future__ import annotations
@@ -65,7 +68,6 @@ class DecoderConfig:
     cond_hidden: int = 16
     pair_width: int = 32
     fe_hidden: int = 64
-    fe_activation: str = "tanh"  # saturating units pick up pairwise structure
     use_positional_encoding: bool = True
     max_context: int = 129
 
@@ -76,8 +78,6 @@ class DecoderConfig:
                 raise ContractError(f"DecoderConfig.{name} must be positive")
         if self.width % self.heads:
             raise ContractError(f"width {self.width} not divisible by heads {self.heads}")
-        if self.fe_activation not in ("tanh", "relu"):
-            raise ContractError(f"fe_activation must be 'tanh' or 'relu'")
 
     @property
     def head_width(self) -> int:
@@ -101,8 +101,9 @@ def edge_class_of_type(edge_id: int) -> int:
     return edge_id - N_RESERVED_EDGES + 1
 
 
-def edge_type_of_class(cls: int) -> int:
-    return NO_BOND if cls == 0 else N_RESERVED_EDGES + cls - 1
+def edge_type_of_class(cls):
+    """The edge type of a class, elementwise over an array of classes."""
+    return np.where(cls == 0, NO_BOND, N_RESERVED_EDGES + cls - 1)
 
 
 @dataclass
@@ -129,27 +130,25 @@ class DecoderBatch:
         return len(self.pair_target_classes)
 
 
-def _layout(labels: tuple[int, ...], edges: np.ndarray
+def _layout(labels: np.ndarray, edges: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tokens, edge matrix and masking matrix of the interleaved sequence of a
-    k-node graph; the one definition of the Fig. 1 layout."""
-    k = len(labels)
+    """Tokens (B, 2k+1), edge matrices and masking matrices (B, 2k+1, 2k+1)
+    of the interleaved sequences of B k-node graphs, given their labels
+    (B, k) and edges (B, k, k); the one definition of the Fig. 1 layout."""
+    n_graphs, k = labels.shape
     length = 2 * k + 1
-    tokens = np.full(length, TOK_G, dtype=np.int64)
-    if k:
-        tokens[1::2] = labels
-
-    edge_matrix = np.full((length, length), VIRTUAL, dtype=np.int64)
-    if k:
-        node_pos = np.arange(1, 2 * k, 2)
-        edge_matrix[np.ix_(node_pos, node_pos)] = edges
-    np.fill_diagonal(edge_matrix, SELF)
+    diagonal = np.arange(length)
+    tokens = np.full((n_graphs, length), TOK_G, dtype=np.int64)
+    tokens[:, 1::2] = labels
+    edge_matrix = np.full((n_graphs, length, length), VIRTUAL, dtype=np.int64)
+    edge_matrix[:, 1::2, 1::2] = edges
+    edge_matrix[:, diagonal, diagonal] = SELF
 
     # strictly earlier positions, never across a NO_BOND pair (<G> rows carry
     # VIRTUAL, so they see every earlier node) and never a <G> column; plus self
     mask = (edge_matrix != NO_BOND) & np.tri(length, k=-1, dtype=bool)
-    mask[:, ::2] = False
-    np.fill_diagonal(mask, True)
+    mask[:, :, ::2] = False
+    mask[:, diagonal, diagonal] = True
     return tokens, edge_matrix, mask
 
 
@@ -159,9 +158,9 @@ def build_decoder_batch(target: Graph) -> DecoderBatch:
     for lab in target.labels:
         if lab < N_RESERVED_LABELS:
             raise ContractError(f"target graph contains reserved label id {lab}")
-    tokens, edge_matrix, mask = _layout(target.labels, target.edges)
-    node_targets = np.concatenate([np.asarray(target.labels, dtype=np.int64),
-                                   np.array([TOK_EOG], dtype=np.int64)])
+    labels = np.array(target.labels, dtype=np.int64).reshape(1, k)
+    tokens, edge_matrix, mask = (a[0] for a in _layout(labels, target.edges[None]))
+    node_targets = np.append(labels, TOK_EOG)
     steps, nodes, classes = [], [], []
     for i in range(1, k + 2):
         for j in range(1, i):
@@ -249,11 +248,10 @@ def _layers(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[
     return x, inputs
 
 
-def _edge_logits(cfg: DecoderConfig, params: dict[str, Tensor], prefix: str,
+def _edge_logits(params: dict[str, Tensor], prefix: str,
                  p_steps: Tensor, p_nodes: Tensor) -> Tensor:
     """Edge head over aligned rows of step and node dec.fp projections."""
-    act = ad.tanh if cfg.fe_activation == "tanh" else ad.relu
-    hidden = act(affine(params, f"{prefix}.fe1", ad.concat([p_steps, p_nodes], axis=1)))
+    hidden = ad.tanh(affine(params, f"{prefix}.fe1", ad.concat([p_steps, p_nodes], axis=1)))
     return affine(params, f"{prefix}.fe2", hidden)
 
 
@@ -309,7 +307,7 @@ def decode_batch(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tenso
     p_rows = affine(params, f"{prefix}.fp", x)
     step_rows = np.concatenate([s + 2 * b.pair_steps for s, b in zip(starts, batches)])
     node_rows = np.concatenate([s + 2 * b.pair_nodes + 1 for s, b in zip(starts, batches)])
-    edge_logits = _edge_logits(cfg, params, prefix, ad.embedding_gather(p_rows, step_rows),
+    edge_logits = _edge_logits(params, prefix, ad.embedding_gather(p_rows, step_rows),
                                ad.embedding_gather(p_rows, node_rows))
     return node_logits, edge_logits
 
@@ -354,13 +352,13 @@ def _argmax_allowed(log_probs: np.ndarray, allowed: np.ndarray) -> int:
     return int(np.argmax(masked))
 
 
-def _extend_edges(edges: np.ndarray, new_types: list[int]) -> np.ndarray:
-    n = edges.shape[0]
-    grown = np.full((n + 1, n + 1), NO_BOND, dtype=np.int64)
-    grown[:n, :n] = edges
-    grown[n, n] = SELF
-    for j, t in enumerate(new_types):
-        grown[n, j] = grown[j, n] = t
+def _extend_edges(edges: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """Grow B edge matrices (B, n, n) by one node whose edge classes against
+    nodes 1..n are classes (B, n); class 0 is NO_BOND."""
+    n_graphs, n = classes.shape
+    grown = np.full((n_graphs, n + 1, n + 1), SELF, dtype=np.int64)
+    grown[:, :n, :n] = edges
+    grown[:, n, :n] = grown[:, :n, n] = edge_type_of_class(classes)
     return grown
 
 
@@ -374,66 +372,42 @@ def _check_max_nodes(cfg: DecoderConfig, max_nodes: int):
                             f"positions, context limit is {cfg.max_context}")
 
 
-@dataclass
-class _Hypothesis:
-    """A live prefix of m nodes. cache holds, per layer, the input rows of
-    nodes 1..m-1, then their final dec.fp projections; node m is pending."""
-
-    labels: tuple[int, ...]
-    edges: np.ndarray
-    score: float
-    cache: tuple[np.ndarray, ...]
-
-
-def _root(cfg: DecoderConfig) -> _Hypothesis:
-    empty = tuple(np.zeros((0, cfg.width)) for _ in range(cfg.layers))
-    return _Hypothesis((), np.zeros((0, 0), dtype=np.int64), 0.0,
-                       empty + (np.zeros((0, cfg.pair_width)),))
-
-
 def _step(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[Tensor, Tensor]],
-          live: list[_Hypothesis], prefix: str
-          ) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, ...]]]:
-    """Decode the pending rows of every live hypothesis in one pass.
+          labels: np.ndarray, edges: np.ndarray, cache: list[np.ndarray], prefix: str
+          ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Decode the pending rows of h live hypotheses of m nodes in one pass.
 
-    All hypotheses hold m nodes, and each is one sequence of the batch axis:
-    its pending rows, node m and the next <G>, attend to its cached node
-    rows, then its own pending rows. Returns the next label's log-probs
-    (h, labels), the edge-class log-probs against nodes 1..m (h, m, classes),
-    and each hypothesis's cache extended by node m.
+    labels (h, m) and edges (h, m, m) hold the prefixes. cache holds, per
+    layer, the input rows of nodes 1..m-1 (h, m-1, width), then their final
+    dec.fp projections; node m is pending. Each hypothesis is one sequence
+    of the batch axis: its pending rows, node m and the next <G>, attend to
+    its cached node rows, then its own pending rows. Returns the next label's
+    log-probs (h, labels), the edge-class log-probs against nodes 1..m
+    (h, m, classes), and the cache extended by node m.
     """
-    m = len(live[0].labels)
+    n_hyp, m = labels.shape
     pos = np.arange(max(2 * m - 1, 0), 2 * m + 1)      # pending positions
     keys = np.append(np.arange(1, 2 * m, 2), 2 * m)    # node positions, then <G>
-    n_hyp, n_pos, n_keys = len(live), len(pos), len(keys)
-    grid = np.ix_(pos, keys)
-    tokens = np.empty((n_hyp, n_pos), dtype=np.int64)
-    edge_matrix = np.empty((n_hyp, n_pos, n_keys), dtype=np.int64)
-    mask = np.empty((n_hyp, n_pos, n_keys), dtype=bool)
-    for h, hyp in enumerate(live):
-        hyp_tokens, hyp_edges, hyp_mask = _layout(hyp.labels, hyp.edges)
-        tokens[h] = hyp_tokens[pos]
-        edge_matrix[h] = hyp_edges[grid]
-        mask[h] = hyp_mask[grid]
-    x = ad.embedding_gather(params[f"{prefix}.embed"], tokens.reshape(-1))
+    n_pos = len(pos)
+    tokens, edge_matrix, mask = _layout(labels, edges)
+    grid = (slice(None), pos[:, None], keys)
+    x = ad.embedding_gather(params[f"{prefix}.embed"], tokens[:, pos].reshape(-1))
     if cfg.use_positional_encoding:
         x = ad.add(x, Tensor(np.tile(positional_encoding(2 * m + 1, cfg.width)[pos],
                                      (n_hyp, 1))))
-    cached = [np.stack([hyp.cache[i] for hyp in live]) for i in range(cfg.layers)]
-    x, inputs = _layers(cfg, params, cross_kv, x, edge_matrix, mask, prefix, cached)
+    x, inputs = _layers(cfg, params, cross_kv, x, edge_matrix[grid], mask[grid], prefix,
+                        cache[:-1])
     label_lp = ad.log_softmax_rows(affine(params, f"{prefix}.fl", x[n_pos - 1::n_pos])).data
     if m == 0:
-        return label_lp, np.zeros((n_hyp, 0, 0)), [hyp.cache for hyp in live]
+        return label_lp, np.zeros((n_hyp, 0, 0)), cache
     p_rows = affine(params, f"{prefix}.fp", x).data.reshape(n_hyp, n_pos, -1)
-    p_nodes = np.concatenate([np.stack([hyp.cache[-1] for hyp in live]), p_rows[:, :1]], axis=1)
-    edge_logits = _edge_logits(cfg, params, prefix, Tensor(np.repeat(p_rows[:, 1], m, axis=0)),
+    p_nodes = np.concatenate([cache[-1], p_rows[:, :1]], axis=1)
+    edge_logits = _edge_logits(params, prefix, Tensor(np.repeat(p_rows[:, 1], m, axis=0)),
                                Tensor(p_nodes.reshape(n_hyp * m, -1)))
     edge_lp = ad.log_softmax_rows(edge_logits).data.reshape(n_hyp, m, -1)
-    node_m = [rows.data[::n_pos] for rows in inputs]   # node m's input row, per layer
-    caches = [tuple(np.concatenate([hyp.cache[i], node_m[i][h:h + 1]])
-                    for i in range(cfg.layers)) + (p_nodes[h],)
-              for h, hyp in enumerate(live)]
-    return label_lp, edge_lp, caches
+    # node m's input row, per layer
+    return label_lp, edge_lp, [np.concatenate([rows, x_in.data[::n_pos, None]], axis=1)
+                               for rows, x_in in zip(cache, inputs)] + [p_nodes]
 
 
 def _edge_config_beam(edge_lp: np.ndarray, width: int
@@ -464,60 +438,66 @@ def generate_beam(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tens
     Hypothesis scores accumulate the label log-probability plus every chosen
     edge-class log-probability. Pruning at each step ranks candidates by the
     score up to and including the label choice; the current step's edge-class
-    scores join the hypothesis immediately after selection. Ties break by
-    creation order, which follows label/class index order, matching argmax.
-    Only real labels and <EOG> can be selected, so every returned graph
-    passes validation.
+    scores join the hypothesis immediately after selection. Only real labels
+    and <EOG> can be selected, so every returned graph passes validation.
 
-    Each step decodes only the pending rows of all live hypotheses, in one
-    batched pass (_step): a node's per-layer states are final once it is
-    chosen, since node positions never attend to <G> and the mask is causal.
-    Candidates stay lazy (parent, label, classes) until they survive pruning;
-    a surviving child takes its parent's cache, extended by the parent's
-    newest node.
+    Ties break in creation order: by parent, then label id (<EOG> is id 1,
+    before every real label), then edge configuration in _edge_config_beam's
+    order, which follows class index order, matching argmax. The candidates
+    of one (parent, label) pair share their ranking score, so one stable
+    argsort over the (parent, label) scores, whose groups are then expanded
+    into their configurations until width candidates are picked, gives that
+    order without numbering the candidates. Finished graphs are kept in the
+    order picked, so a stable sort by score keeps it too.
+
+    The live set is held as arrays over hypotheses: labels (h, m), edges
+    (h, m, m), scores (h,) and _step's per-layer node cache; a surviving
+    child takes its parent's row of each (a[parents]). Each step decodes
+    only the pending rows of all live hypotheses, in one batched pass
+    (_step): a node's per-layer states are final once it is chosen, since
+    node positions never attend to <G> and the mask is causal.
     """
     if width < 1:
         raise ContractError("beam width must be >= 1")
     _check_max_nodes(cfg, max_nodes)
-    n_labels = params[f"{prefix}.embed"].shape[0]
-    allowed = _allowed_labels(n_labels)
-    real_labels = [i for i in range(n_labels) if allowed[i] and i != TOK_EOG]
-    live = [_root(cfg)]
-    finished: list[tuple[float, int, GeneratedGraph]] = []
-    counter = 1
+    allowed = _allowed_labels(params[f"{prefix}.embed"].shape[0])
+    choices = np.flatnonzero(allowed)           # <EOG> first, then the real labels
+    labels = np.zeros((1, 0), dtype=np.int64)
+    edges = np.zeros((1, 0, 0), dtype=np.int64)
+    scores = np.zeros(1)
+    cache = [np.zeros((1, 0, cfg.width))] * cfg.layers + [np.zeros((1, 0, cfg.pair_width))]
+    finished: list[GeneratedGraph] = []
     with ad.no_grad():
         cross_kv = _cross_keys_values(cfg, params, encoder_h, prefix)
-        while live:
-            label_lp, edge_lp, caches = _step(cfg, params, cross_kv, live, prefix)
-            # (selection_key, order, parent index, label, edge classes, config score);
-            # the <EOG> label finishes its parent
-            pool: list[tuple[float, int, int, int, tuple[int, ...], float]] = []
-            full = len(live[0].labels) == max_nodes  # live prefixes all have the same size
+        while True:
+            label_lp, edge_lp, cache = _step(cfg, params, cross_kv, labels, edges, cache, prefix)
+            full = labels.shape[1] == max_nodes
+            ids = choices[:1] if full else choices
             configs = [] if full else _edge_config_beam(edge_lp, width)
-            for h, hyp in enumerate(live):
-                pool.append((hyp.score + label_lp[h, TOK_EOG], counter, h, TOK_EOG, (), 0.0))
-                counter += 1
-                if full:
-                    continue
-                for label in real_labels:
-                    selection = hyp.score + label_lp[h, label]
-                    for classes, config_score in configs[h]:
-                        pool.append((selection, counter, h, label, classes, config_score))
-                        counter += 1
-            pool.sort(key=lambda entry: (-entry[0], entry[1]))
-            parents, live = live, []
-            for selection, order, h, label, classes, config_score in pool[:width]:
-                parent = parents[h]
-                if label == TOK_EOG:
-                    truncated = (len(parent.labels) == max_nodes
-                                 and _argmax_allowed(label_lp[h], allowed) != TOK_EOG)
-                    finished.append((selection, order, GeneratedGraph(
-                        Graph(parent.labels, parent.edges), score=selection,
-                        truncated=truncated)))
+            selection = scores[:, None] + label_lp[:, ids]
+            survivors = []   # (parent, label, edge classes, score)
+            room = width
+            for flat in np.argsort(-selection, axis=None, kind="stable").tolist():
+                h, j = divmod(flat, len(ids))
+                if ids[j] == TOK_EOG:
+                    truncated = full and _argmax_allowed(label_lp[h], allowed) != TOK_EOG
+                    finished.append(GeneratedGraph(Graph(labels[h], edges[h]),
+                                                   score=selection[h, j], truncated=truncated))
+                    room -= 1
                 else:
-                    live.append(_Hypothesis(
-                        parent.labels + (label,),
-                        _extend_edges(parent.edges, [edge_type_of_class(c) for c in classes]),
-                        selection + config_score, caches[h]))
-    finished.sort(key=lambda entry: (-entry[0], entry[1]))
-    return [item for _, _, item in finished[:width]]
+                    picked = configs[h][:room]
+                    survivors += [(h, ids[j], classes, selection[h, j] + config_score)
+                                  for classes, config_score in picked]
+                    room -= len(picked)
+                if not room:
+                    break
+            if not survivors:
+                break
+            parents, new_labels, classes, new_scores = zip(*survivors)
+            parents = np.array(parents)
+            labels = np.column_stack([labels[parents], new_labels])
+            edges = _extend_edges(edges[parents], np.array(classes, dtype=np.int64))
+            scores = np.array(new_scores)
+            cache = [rows[parents] for rows in cache]
+    finished.sort(key=lambda result: -result.score)
+    return finished[:width]

@@ -138,13 +138,14 @@ class Graph:
 
     def __post_init__(self):
         self.labels = tuple(int(x) for x in self.labels)
-        self.edges = np.asarray(self.edges, dtype=np.int64)
+        # copies: the graph freezes its arrays and must not freeze the caller's
+        self.edges = np.array(self.edges, dtype=np.int64)
         n = len(self.labels)
         if self.edges.shape != (n, n):
             raise ContractError(f"edge matrix shape {self.edges.shape} for {n} nodes")
         self.edges.flags.writeable = False
         if self.node_features is not None:
-            self.node_features = np.asarray(self.node_features, dtype=np.float64)
+            self.node_features = np.array(self.node_features, dtype=np.float64)
             if self.node_features.ndim != 2 or self.node_features.shape[0] != n:
                 raise ContractError(f"node_features must be 2-d with one row per node ({n})")
             self.node_features.flags.writeable = False
@@ -258,7 +259,8 @@ def concat_graphs(parts: Sequence[tuple[int, Graph]]) -> Graph:
     """Disjoint union with one delimiter node per part.
 
     Each delimiter is linked to its own part's nodes via VIRTUAL; all
-    inter-part pairs are NO_BOND.
+    inter-part pairs are NO_BOND. Parts that carry node features must agree
+    on their width; delimiters and featureless parts get zero rows.
     """
     if not parts:
         raise ContractError("concat_graphs requires at least one part")
@@ -268,8 +270,11 @@ def concat_graphs(parts: Sequence[tuple[int, Graph]]) -> Graph:
     total = sum(g.n + 1 for _, g in parts)
     labels: list[int] = []
     edges = np.full((total, total), NO_BOND, dtype=np.int64)
-    feat_width = max((g.node_features.shape[1] for _, g in parts
-                      if g.node_features is not None), default=0)
+    widths = {g.node_features.shape[1] for _, g in parts if g.node_features is not None}
+    if len(widths) > 1:
+        raise ContractError(f"concat_graphs parts carry node features of widths "
+                            f"{sorted(widths)}; they must agree")
+    feat_width = max(widths, default=0)
     node_features = np.zeros((total, feat_width)) if feat_width else None
     offset = 0
     for token, g in parts:
@@ -281,7 +286,7 @@ def concat_graphs(parts: Sequence[tuple[int, Graph]]) -> Graph:
         edges[offset, start:stop] = VIRTUAL
         edges[start:stop, offset] = VIRTUAL
         if node_features is not None and g.node_features is not None:
-            node_features[start:stop, :g.node_features.shape[1]] = g.node_features
+            node_features[start:stop] = g.node_features
         offset = stop
     np.fill_diagonal(edges, SELF)
     return Graph(labels=tuple(labels), edges=edges, node_features=node_features)

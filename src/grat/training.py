@@ -592,6 +592,21 @@ class _ShapeOnly:
     normal = uniform
 
 
+# fields older versions record and this one removed, each with the one value
+# it loads at: the value under which the old model behaves as this version does
+_REMOVED_FIELDS = {"encoder": {"edge_feature_dim": 0}, "decoder": {"fe_activation": "tanh"}}
+
+
+def _current_fields(cfg: dict, section: str) -> dict:
+    """The snapshot's encoder or decoder fields, less the removed ones."""
+    fields = dict(cfg.get(section, {}))
+    for name, value in _REMOVED_FIELDS[section].items():
+        if name in fields and fields.pop(name) != value:
+            raise CheckpointError(f"checkpoint sets {section} field {name!r}, which this "
+                                  f"version of grat has only as {value!r}")
+    return fields
+
+
 def model_from_checkpoint(path):
     """Reconstruct the task's model from a checkpoint's snapshot.
 
@@ -608,14 +623,8 @@ def model_from_checkpoint(path):
     try:
         lv = NodeLabelVocab(cfg.get("labels", []))
         ev = EdgeTypeVocab(cfg.get("edges", []))
-        enc_fields = dict(cfg.get("encoder", {}))
-        # older versions record fields since removed; each loads only at 0, its off value
-        for name in sorted(set(enc_fields) - {f.name for f in dataclasses.fields(EncoderConfig)}):
-            if enc_fields.pop(name):
-                raise CheckpointError(f"checkpoint sets encoder field {name!r}, which this "
-                                      f"version of grat does not have")
-        enc_cfg = EncoderConfig(**enc_fields)
-        dec_cfg = DecoderConfig(**cfg.get("decoder", {})) if task == "translate" else None
+        enc_cfg = EncoderConfig(**_current_fields(cfg, "encoder"))
+        dec_cfg = DecoderConfig(**_current_fields(cfg, "decoder")) if task == "translate" else None
         tasks = [] if task == "translate" else list(cfg.get("tasks", []))
         mu = np.array(cfg.get("mu", []), dtype=np.float64)
         sigma = (np.array(cfg["sigma"], dtype=np.float64) if cfg.get("sigma")

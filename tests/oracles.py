@@ -4,8 +4,9 @@ Every function here recomputes expected values by a route that shares no code
 with the library: scalar loops, high-precision arithmetic, brute-force
 enumeration, or central finite differences. There are four exceptions, each
 built from the library's own elementary ops:
-  - greedy_reference checks the cached search against the library's uncached
-    teacher-forced pass;
+  - greedy_reference and beam_reference check the cached, batched search
+    against the library's uncached teacher-forced pass, one hypothesis at a
+    time;
   - film_attention and multi_head_film_reference rebuild attention one head at
     a time from matmul, transpose, mul, add and softmax_rows, with the tape
     deriving the backward, to check the fused all-heads op and its hand-written
@@ -25,7 +26,7 @@ import numpy as np
 from grat import autodiff as ad
 from grat import decoder as dec
 from grat.autodiff import Tensor
-from grat.graph import Graph, TOK_EOG
+from grat.graph import Graph, N_RESERVED_LABELS, NO_BOND, SELF, TOK_EOG
 
 
 def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -96,6 +97,27 @@ def triangle_count_bruteforce(adjacency: np.ndarray) -> int:
     return count
 
 
+def _grow_edges(edges: np.ndarray, classes) -> np.ndarray:
+    """edges with one node appended, joined to node j by edge class classes[j]."""
+    n = len(classes)
+    grown = np.full((n + 1, n + 1), NO_BOND, dtype=np.int64)
+    grown[:n, :n] = edges
+    grown[n, n] = SELF
+    for j, c in enumerate(classes):
+        grown[n, j] = grown[j, n] = dec.edge_type_of_class(c)
+    return grown
+
+
+def _next_step_log_probs(cfg, params, memory, labels, edges):
+    """Uncached: decode the whole prefix with decode_forward; return the next
+    label's log-probs and the edge-class log-probs against nodes 1..m."""
+    node_logits, edge_logits = dec.decode_forward(
+        cfg, params, memory, dec.build_decoder_batch(Graph(labels, edges)))
+    label_lp = ad.log_softmax_rows(node_logits).data[-1]
+    edge_lp = ad.log_softmax_rows(edge_logits).data[edge_logits.shape[0] - len(labels):]
+    return label_lp, edge_lp
+
+
 def greedy_reference(cfg, params, memory, max_nodes) -> dec.GeneratedGraph:
     """Uncached greedy decoding: every step re-decodes the whole prefix with
     decode_forward, then takes the argmax label and the argmax class per
@@ -104,10 +126,7 @@ def greedy_reference(cfg, params, memory, max_nodes) -> dec.GeneratedGraph:
     labels, edges, score = (), np.zeros((0, 0), dtype=np.int64), 0.0
     with ad.no_grad():
         while True:
-            node_logits, edge_logits = dec.decode_forward(
-                cfg, params, memory, dec.build_decoder_batch(Graph(labels, edges)))
-            label_lp = ad.log_softmax_rows(node_logits).data[-1]
-            edge_lp = ad.log_softmax_rows(edge_logits).data[edge_logits.shape[0] - len(labels):]
+            label_lp, edge_lp = _next_step_log_probs(cfg, params, memory, labels, edges)
             choice = dec._argmax_allowed(label_lp, allowed)
             if choice == TOK_EOG or len(labels) == max_nodes:
                 return dec.GeneratedGraph(Graph(labels, edges), score + label_lp[TOK_EOG],
@@ -115,7 +134,64 @@ def greedy_reference(cfg, params, memory, max_nodes) -> dec.GeneratedGraph:
             classes = [int(np.argmax(r)) for r in edge_lp]
             score = score + label_lp[choice] + sum(r[c] for r, c in zip(edge_lp, classes))
             labels = labels + (choice,)
-            edges = dec._extend_edges(edges, [dec.edge_type_of_class(c) for c in classes])
+            edges = _grow_edges(edges, classes)
+
+
+def tuple_config_beam(rows, width):
+    """Reference edge-configuration beam, one hypothesis at a time: every kept
+    configuration times every class, as Python tuples in creation order,
+    stably sorted by score and cut to width."""
+    configs = [((), 0.0)]
+    for row in rows:
+        expanded = [(cfg + (c,), s + row[c]) for cfg, s in configs for c in range(len(row))]
+        expanded.sort(key=lambda cs: -cs[1])
+        configs = expanded[:width]
+    return configs
+
+
+def beam_reference(cfg, params, memory, width, max_nodes) -> list[dec.GeneratedGraph]:
+    """Uncached beam search over tuples numbered in creation order.
+
+    Each step re-decodes every live prefix with decode_forward. Each parent
+    creates its <EOG> candidate, then, per real label in id order, one
+    candidate per tuple_config_beam configuration; the pool sorts by
+    (-score up to the label, creation number) and keeps width. <EOG>
+    finishes its parent; finished graphs sort by (-score, creation number).
+    """
+    real_labels = range(N_RESERVED_LABELS, params["dec.embed"].shape[0])
+    live = [((), np.zeros((0, 0), dtype=np.int64), 0.0)]
+    finished, counter = [], 0
+    with ad.no_grad():
+        while live:
+            pool = []   # (selection, number, parent, label, classes, config score)
+            steps = []
+            for h, (labels, edges, score) in enumerate(live):
+                label_lp, edge_lp = _next_step_log_probs(cfg, params, memory, labels, edges)
+                steps.append(label_lp)
+                pool.append((score + label_lp[TOK_EOG], counter, h, TOK_EOG, (), 0.0))
+                counter += 1
+                if len(labels) == max_nodes:
+                    continue
+                configs = tuple_config_beam(edge_lp.tolist(), width)
+                for label in real_labels:
+                    for classes, config_score in configs:
+                        pool.append((score + label_lp[label], counter, h, label, classes,
+                                     config_score))
+                        counter += 1
+            pool.sort(key=lambda entry: (-entry[0], entry[1]))
+            parents, live = live, []
+            for selection, number, h, label, classes, config_score in pool[:width]:
+                labels, edges, _ = parents[h]
+                if label == TOK_EOG:
+                    truncated = (len(labels) == max_nodes and
+                                 max(steps[h][r] for r in real_labels) > steps[h][TOK_EOG])
+                    finished.append((selection, number, dec.GeneratedGraph(
+                        Graph(labels, edges), selection, truncated)))
+                else:
+                    live.append((labels + (label,), _grow_edges(edges, classes),
+                                 selection + config_score))
+    finished.sort(key=lambda entry: (-entry[0], entry[1]))
+    return [result for _, _, result in finished[:width]]
 
 
 def film_attention(q: Tensor, k: Tensor, v: Tensor, gamma: Tensor | None = None,

@@ -100,8 +100,10 @@ class TestTrainEval:
                                                                   edge_feature_dim=3))),
         lambda params, config: (dict(params, **{"enc.cond.featw": params["enc.cond.onehot"]}),
                                 config),
+        lambda params, config: (params, dict(config, decoder=dict(config["decoder"],
+                                                                  fe_activation="relu"))),
     ], ids=["missing", "wrong-shape", "extra", "config-list", "labels-int",
-            "labels-reserved", "edge-feature-width", "edge-feature-weights"])
+            "labels-reserved", "edge-feature-width", "edge-feature-weights", "relu-edge-head"])
     def test_generate_rejects_checkpoint_unlike_its_config(self, copy_setup, capsys,
                                                            corrupt):
         _, data, ckpt = copy_setup

@@ -17,7 +17,7 @@ from grat.decoder import DecoderConfig, build_decoder_batch, decode_forward
 from grat.errors import CapacityError, ContractError
 from grat.graph import Graph, NO_BOND, SELF, VIRTUAL, TOK_EOG, TOK_G
 from grat.training import RunConfig, TranslationModel
-from oracles import greedy_reference
+from oracles import beam_reference, greedy_reference, tuple_config_beam
 
 CFG = DecoderConfig(layers=2, heads=2, width=8, ff_width=16, cond_hidden=4,
                     pair_width=4, fe_hidden=8)
@@ -249,18 +249,6 @@ def teacher_forced_score(cfg, params, memory, target) -> float:
     return total
 
 
-def tuple_config_beam(rows, width):
-    """Reference edge-configuration beam, one hypothesis at a time: every kept
-    configuration times every class, as Python tuples in creation order,
-    stably sorted by score and cut to width."""
-    configs = [((), 0.0)]
-    for row in rows:
-        expanded = [(cfg + (c,), s + row[c]) for cfg, s in configs for c in range(len(row))]
-        expanded.sort(key=lambda cs: -cs[1])
-        configs = expanded[:width]
-    return configs
-
-
 def greedy(cfg, params, memory, max_nodes) -> dec.GeneratedGraph:
     return dec.generate_beam(cfg, params, memory, width=1, max_nodes=max_nodes)[0]
 
@@ -358,19 +346,44 @@ class TestGeneration:
                     node_logits, edge_logits = decode_forward(CFG, params, memory, batch)
                     full.append((batch, ad.log_softmax_rows(node_logits).data,
                                  ad.log_softmax_rows(edge_logits).data))
-                live = [dec._root(CFG) for _ in targets]
+                n = len(targets)
+                labels = np.zeros((n, 0), dtype=np.int64)
+                edges = np.zeros((n, 0, 0), dtype=np.int64)
+                cache = ([np.zeros((n, 0, CFG.width))] * CFG.layers
+                         + [np.zeros((n, 0, CFG.pair_width))])
                 cross_kv = dec._cross_keys_values(CFG, params, memory, "dec")
                 for i in range(k + 1):
-                    label_lp, edge_lp, caches = dec._step(CFG, params, cross_kv, live, "dec")
+                    label_lp, edge_lp, cache = dec._step(CFG, params, cross_kv, labels, edges,
+                                                         cache, "dec")
                     assert edge_lp.shape[:2] == (len(targets), i)
                     for h, (batch, node_ref, edge_ref) in enumerate(full):
                         worst = max(worst, np.max(np.abs(label_lp[h] - node_ref[i])))
                         if i:
                             rows = edge_ref[batch.pair_steps == i]
                             worst = max(worst, np.max(np.abs(edge_lp[h] - rows)))
-                    live = [dec._Hypothesis(t.labels[:i + 1], t.edges[:i + 1, :i + 1], 0.0,
-                                            caches[h]) for h, t in enumerate(targets)]
+                    labels = np.array([t.labels[:i + 1] for t in targets], dtype=np.int64)
+                    edges = np.stack([t.edges[:i + 1, :i + 1] for t in targets])
         assert worst < 1e-9
+
+    @pytest.mark.parametrize("width", [1, 3, 8])
+    @pytest.mark.parametrize("flat", [("dec.fl",), ("dec.fe2",), ("dec.fl", "dec.fe2")],
+                             ids=["labels", "edges", "both"])
+    def test_beam_tie_order_matches_counter_reference(self, width, flat):
+        # a zeroed weight makes that head's log-probs equal for every prefix,
+        # so candidates tie exactly, within and across parents; a bias of
+        # zeros and ones leaves some choices preferred
+        for seed in range(3):
+            params = make_params(seed=50 + seed)
+            rng = np.random.default_rng(60 + seed)
+            for name in flat:
+                params[f"{name}.w"].data[:] = 0.0
+                params[f"{name}.b"].data[:] = rng.integers(0, 2, params[f"{name}.b"].shape)
+            memory = random_memory(rng)
+            got = dec.generate_beam(CFG, params, memory, width=width, max_nodes=4)
+            expect = beam_reference(CFG, params, memory, width=width, max_nodes=4)
+            assert [(r.graph, r.truncated) for r in got] == \
+                [(r.graph, r.truncated) for r in expect]
+            assert max(abs(r.score - e.score) for r, e in zip(got, expect)) < 1e-9
 
     def test_repeated_beam_decode_is_bitwise_identical(self):
         params = make_params(seed=26)

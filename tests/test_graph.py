@@ -96,6 +96,19 @@ def test_node_features_must_be_one_row_per_node(feats):
         gm.graph_from_edge_list([8, 9, 10], [], node_features=feats)
 
 
+def test_graph_copies_the_callers_arrays():
+    edges = np.array([[SELF, NO_BOND], [NO_BOND, SELF]])
+    feats = np.ones((2, 3))
+    g = Graph(labels=(8, 9), edges=edges, node_features=feats)
+    edges[0, 1] = edges[1, 0] = VIRTUAL
+    feats[0, 0] = 2.0
+    assert g.edges[0, 1] == NO_BOND and g.node_features[0, 0] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        g.edges[0, 1] = VIRTUAL
+    with pytest.raises(ValueError, match="read-only"):
+        g.node_features[0, 0] = 2.0
+
+
 class TestPermute:
     def test_identity(self, vocabs):
         rng = np.random.default_rng(0)
@@ -247,12 +260,17 @@ class TestConcat:
         assert out.edges[0, 1] == VIRTUAL and out.edges[2, 3] == VIRTUAL
         assert out.edges[0, 2] == NO_BOND  # delimiters not linked to each other
 
-    @pytest.mark.parametrize("feature_widths", [(0, 0, 0), (2, 2, 2), (2, 0, 2)],
-                             ids=["none", "all", "one-part-without"])
+    @pytest.mark.parametrize("feature_widths", [(0, 0, 0), (2, 2, 2), (2, 0, 2), (2, 0, 3)],
+                             ids=["none", "all", "one-part-without", "mismatched"])
     def test_three_parts_block_structure(self, vocabs, feature_widths):
         rng = np.random.default_rng(9)
         parts = [(TOK_REACTANT, random_graph(rng, vocabs, feature_width=w))
                  for w in feature_widths]
+        if len(set(feature_widths) - {0}) > 1:
+            # zero-padding the narrower part would pass an encoder built for the wider
+            with pytest.raises(ContractError, match="widths"):
+                gm.concat_graphs(parts)
+            return
         out = gm.concat_graphs(parts)
         assert gm.validate(out, *vocabs) == []
         # feature rows: zero for delimiters and for the nodes of a featureless part

@@ -234,13 +234,17 @@ class TestCheckpointContract:
     @pytest.mark.parametrize("task", ["property", "translate"])
     def test_snapshot_recording_zero_edge_feature_dim_loads(self, copy_data, prop_data,
                                                             tmp_path, task):
-        # older versions record edge_feature_dim, 0 in every file they wrote
+        # older versions record edge_feature_dim, 0 in every file they wrote,
+        # and fe_activation, "tanh" in every translation checkpoint
         data = prop_data if task == "property" else copy_data
         cfg = quick_cfg(task, data, tmp_path, max_steps=2)
         model, _ = train(cfg)
         ckpt = load_checkpoint(cfg.out_checkpoint)
         assert "edge_feature_dim" not in ckpt.config["encoder"]
         ckpt.config["encoder"]["edge_feature_dim"] = 0
+        if task == "translate":
+            assert "fe_activation" not in ckpt.config["decoder"]
+            ckpt.config["decoder"]["fe_activation"] = "tanh"
         save_checkpoint(cfg.out_checkpoint, ckpt.params, ckpt.config)
         loaded, _ = model_from_checkpoint(cfg.out_checkpoint)
         assert loaded.enc_cfg == model.enc_cfg
@@ -253,15 +257,18 @@ class TestCheckpointContract:
                 assert [(r.graph, r.score, r.truncated) for r in loaded.generate(srcs, 2, 6)] \
                     == [(r.graph, r.score, r.truncated) for r in model.generate(srcs, 2, 6)]
 
-    @pytest.mark.parametrize("edge_feature_dim, match", [
-        (0, r"unexpected 1 \(enc\.cond\.featw\)"), (3, "encoder field 'edge_feature_dim'")],
-        ids=["stray-weights", "nonzero-width"])
-    def test_checkpoint_with_edge_features_rejected(self, prop_data, tmp_path,
-                                                     edge_feature_dim, match):
-        cfg = quick_cfg("property", prop_data, tmp_path, epochs=0)
+    @pytest.mark.parametrize("task, section, field, value, match", [
+        ("property", "encoder", "edge_feature_dim", 0, r"unexpected 1 \(enc\.cond\.featw\)"),
+        ("property", "encoder", "edge_feature_dim", 3, "encoder field 'edge_feature_dim'"),
+        ("translate", "decoder", "fe_activation", "relu", "decoder field 'fe_activation'")],
+        ids=["stray-weights", "nonzero-width", "relu-edge-head"])
+    def test_checkpoint_with_edge_features_rejected(self, copy_data, prop_data, tmp_path,
+                                                     task, section, field, value, match):
+        data = prop_data if task == "property" else copy_data
+        cfg = quick_cfg(task, data, tmp_path, epochs=0)
         train(cfg)
         ckpt = load_checkpoint(cfg.out_checkpoint)
-        ckpt.config["encoder"]["edge_feature_dim"] = edge_feature_dim
+        ckpt.config[section][field] = value
         featw = ad.Tensor(np.ones((3, ckpt.params["enc.cond.b1"].shape[0])))
         save_checkpoint(cfg.out_checkpoint, dict(ckpt.params, **{"enc.cond.featw": featw}),
                         ckpt.config)
