@@ -30,9 +30,17 @@ attend to <G> and the mask is causal, so a node's per-layer states are final
 once its label and edges are chosen. Beam search (greedy decoding is width 1)
 caches each hypothesis's node rows and decodes only the pending rows of all
 live hypotheses per step, in one batched pass, in the spirit of KV caching.
-The live set is a handful of arrays over hypotheses (labels, edges, scores,
-node cache) that survivors index by parent. Ties break in creation order,
-kept by stable sorts rather than by numbering the candidates.
+One search serves R requests at once (generate_beams; generate_beam is its
+batch of one): the live set holds the hypotheses of every request, which all
+start together and so share a node count. In self-attention each hypothesis
+is one sequence of the batch axis; in cross-attention each request is one,
+its hypotheses' pending rows padded to the request with the most, attending
+to its own encoder rows with the padding masked. With one request that is
+the unbatched arithmetic exactly. The live set is a handful of arrays over
+hypotheses (labels, edges, scores, node cache), grouped by request, that
+survivors index by parent. Ranking is per request, and ties break in
+creation order, kept by stable sorts rather than by numbering the
+candidates.
 """
 
 from __future__ import annotations
@@ -214,7 +222,8 @@ def _cross_keys_values(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h:
 
 def _layers(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[Tensor, Tensor]],
             x: Tensor, edge_matrix: np.ndarray, mask: np.ndarray, prefix: str,
-            cached: list[np.ndarray] | None = None, cross_mask: np.ndarray | None = None
+            cached: list[np.ndarray] | None = None, cross_mask: np.ndarray | None = None,
+            cross_rows: tuple[np.ndarray, np.ndarray] | None = None
             ) -> tuple[Tensor, list[Tensor]]:
     """The decoder stack over the input rows x; returns the output rows and
     each layer's input rows. cross_kv is _cross_keys_values's output.
@@ -224,8 +233,15 @@ def _layers(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[
     cached, the keys are the sequence's own rows. With cached (per layer, a
     (B, c, width) array), sequence b's keys are its c cached rows, then its
     own rows; the cached rows carry no gradient, so that path is for
-    inference only. cross_mask (B, rows, encoder rows) restricts each
-    sequence's cross-attention; without it every row sees every encoder row.
+    inference only.
+
+    Cross-attention splits the rows of x evenly into the sequences of
+    cross_mask's batch axis, S of them (one when cross_mask is None), and
+    sequence s attends to the s-th block of encoder rows in cross_kv, as
+    cross_mask (S, rows, encoder rows) allows; without it every row sees
+    every encoder row. cross_rows, when given, is a (gather, scatter) pair
+    of row indices: the cross-attention queries are x[gather], and its
+    output rows are put back in x's order by [scatter].
     """
     gammas, betas = edge_gamma_beta(params, f"{prefix}.cond", edge_matrix, cfg.layers)
     inputs = []
@@ -240,8 +256,11 @@ def _layers(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[
         attn, _ = multi_head_film_attention(cfg, params, f"{base}.self", x,
                                             gammas[i], betas[i], mask, memory=keys)
         x = ad.layer_norm(x, params[f"{base}.ln1.g"], params[f"{base}.ln1.b"], residual=attn)
-        cross, _ = multi_head_film_attention(cfg, params, f"{base}.cross", x, mask=cross_mask,
-                                             kv=cross_kv[i])
+        queries = x if cross_rows is None else x[cross_rows[0]]
+        cross, _ = multi_head_film_attention(cfg, params, f"{base}.cross", queries,
+                                             mask=cross_mask, kv=cross_kv[i])
+        if cross_rows is not None:
+            cross = cross[cross_rows[1]]
         x = ad.layer_norm(x, params[f"{base}.ln2.g"], params[f"{base}.ln2.b"], residual=cross)
         ff = feed_forward(params, base, x)
         x = ad.layer_norm(x, params[f"{base}.ln3.g"], params[f"{base}.ln3.b"], residual=ff)
@@ -372,18 +391,53 @@ def _check_max_nodes(cfg: DecoderConfig, max_nodes: int):
                             f"positions, context limit is {cfg.max_context}")
 
 
+def _cross_layout(starts: list[int], n_hyp: int, key_sizes: list[int], n_keys: int,
+                  n_pos: int) -> tuple[np.ndarray | None, tuple[np.ndarray, np.ndarray] | None]:
+    """Cross-attention's mask and row gather (_layers' cross_mask and
+    cross_rows) with one sequence per request.
+
+    The n_hyp live hypotheses are grouped by request, request r's starting at
+    starts[r], and its keys are the first key_sizes[r] of its n_keys encoder
+    rows. Its queries are the n_pos pending rows of each of its hypotheses,
+    padded to the request with the most; padding queries repeat row 0 and
+    are dropped afterwards. One request without key padding needs neither.
+    """
+    n_req = len(starts)
+    if n_req == 1 and key_sizes[0] == n_keys:
+        return None, None
+    counts = np.diff(starts, append=n_hyp)
+    most = counts.max()
+    rows = None
+    if counts.min() < most:
+        # hypothesis i is the (i - start)-th of its request, whose padded
+        # block starts at request * most
+        offset = np.repeat(np.arange(n_req) * most - np.array(starts), counts)
+        scatter = ((np.arange(n_hyp) + offset)[:, None] * n_pos + np.arange(n_pos)).reshape(-1)
+        gather = np.zeros(n_req * most * n_pos, dtype=np.int64)
+        gather[scatter] = np.arange(n_hyp * n_pos)
+        rows = gather, scatter
+    mask = np.broadcast_to((np.arange(n_keys) < np.array(key_sizes)[:, None])[:, None],
+                           (n_req, most * n_pos, n_keys))
+    return mask, rows
+
+
 def _step(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[Tensor, Tensor]],
-          labels: np.ndarray, edges: np.ndarray, cache: list[np.ndarray], prefix: str
+          labels: np.ndarray, edges: np.ndarray, cache: list[np.ndarray], prefix: str,
+          starts: list[int], key_sizes: list[int]
           ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Decode the pending rows of h live hypotheses of m nodes in one pass.
 
     labels (h, m) and edges (h, m, m) hold the prefixes. cache holds, per
     layer, the input rows of nodes 1..m-1 (h, m-1, width), then their final
     dec.fp projections; node m is pending. Each hypothesis is one sequence
-    of the batch axis: its pending rows, node m and the next <G>, attend to
-    its cached node rows, then its own pending rows. Returns the next label's
-    log-probs (h, labels), the edge-class log-probs against nodes 1..m
-    (h, m, classes), and the cache extended by node m.
+    of the self-attention batch: its pending rows, node m and the next <G>,
+    attend to its cached node rows, then its own pending rows. Hypotheses
+    are grouped by request, request r's starting at starts[r], and each
+    request is one sequence of cross-attention onto its own block of the
+    encoder rows in cross_kv, of which the first key_sizes[r] are real
+    (_cross_layout). Returns the next
+    label's log-probs (h, labels), the edge-class log-probs against nodes
+    1..m (h, m, classes), and the cache extended by node m.
     """
     n_hyp, m = labels.shape
     pos = np.arange(max(2 * m - 1, 0), 2 * m + 1)      # pending positions
@@ -395,8 +449,10 @@ def _step(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[Te
     if cfg.use_positional_encoding:
         x = ad.add(x, Tensor(np.tile(positional_encoding(2 * m + 1, cfg.width)[pos],
                                      (n_hyp, 1))))
+    cross_mask, cross_rows = _cross_layout(starts, n_hyp, key_sizes,
+                                           cross_kv[0][0].shape[0] // len(key_sizes), n_pos)
     x, inputs = _layers(cfg, params, cross_kv, x, edge_matrix[grid], mask[grid], prefix,
-                        cache[:-1])
+                        cache[:-1], cross_mask, cross_rows)
     label_lp = ad.log_softmax_rows(affine(params, f"{prefix}.fl", x[n_pos - 1::n_pos])).data
     if m == 0:
         return label_lp, np.zeros((n_hyp, 0, 0)), cache
@@ -431,66 +487,97 @@ def _edge_config_beam(edge_lp: np.ndarray, width: int
     return [list(zip(map(tuple, cls), s)) for cls, s in zip(classes.tolist(), scores.tolist())]
 
 
-def generate_beam(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor,
-                  width: int, max_nodes: int, prefix: str = "dec") -> list[GeneratedGraph]:
-    """Beam search over joint (label, edge-classes) steps; width 1 is greedy.
+def generate_beams(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor,
+                   encoder_sizes: list[int], width: int, max_nodes: int, prefix: str = "dec"
+                   ) -> list[list[GeneratedGraph]]:
+    """R independent beam searches over joint (label, edge-classes) steps,
+    run as one live set; width 1 is greedy. Returns each request's graphs,
+    best first.
+
+    encoder_h holds R encoded sources of equal padded row count
+    (encode_batch's output), and encoder_sizes[r] counts source r's real
+    rows; request r's cross-attention sees only those.
 
     Hypothesis scores accumulate the label log-probability plus every chosen
-    edge-class log-probability. Pruning at each step ranks candidates by the
-    score up to and including the label choice; the current step's edge-class
-    scores join the hypothesis immediately after selection. Only real labels
-    and <EOG> can be selected, so every returned graph passes validation.
+    edge-class log-probability. Pruning at each step ranks a request's
+    candidates by the score up to and including the label choice; the
+    current step's edge-class scores join the hypothesis immediately after
+    selection. Only real labels and <EOG> can be selected, so every returned
+    graph passes validation.
 
     Ties break in creation order: by parent, then label id (<EOG> is id 1,
     before every real label), then edge configuration in _edge_config_beam's
     order, which follows class index order, matching argmax. The candidates
     of one (parent, label) pair share their ranking score, so one stable
-    argsort over the (parent, label) scores, whose groups are then expanded
-    into their configurations until width candidates are picked, gives that
-    order without numbering the candidates. Finished graphs are kept in the
-    order picked, so a stable sort by score keeps it too.
+    argsort over a request's (parent, label) scores, whose groups are then
+    expanded into their configurations until width candidates are picked,
+    gives that order without numbering the candidates. Finished graphs are
+    kept in the order picked, so a stable sort by score keeps it too.
 
-    The live set is held as arrays over hypotheses: labels (h, m), edges
-    (h, m, m), scores (h,) and _step's per-layer node cache; a surviving
-    child takes its parent's row of each (a[parents]). Each step decodes
-    only the pending rows of all live hypotheses, in one batched pass
-    (_step): a node's per-layer states are final once it is chosen, since
-    node positions never attend to <G> and the mask is causal.
+    The live set is held as arrays over the hypotheses of all requests,
+    grouped by request: labels (h, m), edges (h, m, m), scores (h,) and
+    _step's per-layer node cache; a surviving child takes its parent's row
+    of each (a[parents]). live lists the requests that still have
+    hypotheses and starts the first hypothesis of each. All requests start
+    together, so every live hypothesis has m nodes. Each step decodes only
+    the pending rows of all live hypotheses, in one batched pass (_step): a
+    node's per-layer states are final once it is chosen, since node
+    positions never attend to <G> and the mask is causal. Ranking, the
+    room left in the beam and the finished graphs are per request, and a
+    request leaves the live set when it has no survivors.
     """
     if width < 1:
         raise ContractError("beam width must be >= 1")
     _check_max_nodes(cfg, max_nodes)
+    n_req = len(encoder_sizes)
+    if not n_req or encoder_h.shape[0] % n_req:
+        raise ContractError(f"{n_req} requests in {encoder_h.shape[0]} encoder rows")
+    n_keys = encoder_h.shape[0] // n_req
+    if not all(1 <= size <= n_keys for size in encoder_sizes):
+        raise ContractError(f"encoder sizes {encoder_sizes} outside 1..{n_keys}")
     allowed = _allowed_labels(params[f"{prefix}.embed"].shape[0])
     choices = np.flatnonzero(allowed)           # <EOG> first, then the real labels
-    labels = np.zeros((1, 0), dtype=np.int64)
-    edges = np.zeros((1, 0, 0), dtype=np.int64)
-    scores = np.zeros(1)
-    cache = [np.zeros((1, 0, cfg.width))] * cfg.layers + [np.zeros((1, 0, cfg.pair_width))]
-    finished: list[GeneratedGraph] = []
+    # the requests with live hypotheses, and the first hypothesis of each
+    live, starts = list(range(n_req)), list(range(n_req))
+    labels = np.zeros((n_req, 0), dtype=np.int64)
+    edges = np.zeros((n_req, 0, 0), dtype=np.int64)
+    scores = np.zeros(n_req)
+    cache = ([np.zeros((n_req, 0, cfg.width))] * cfg.layers
+             + [np.zeros((n_req, 0, cfg.pair_width))])
+    finished: list[list[GeneratedGraph]] = [[] for _ in range(n_req)]
     with ad.no_grad():
-        cross_kv = _cross_keys_values(cfg, params, encoder_h, prefix)
+        all_kv = cross_kv = _cross_keys_values(cfg, params, encoder_h, prefix)
         while True:
-            label_lp, edge_lp, cache = _step(cfg, params, cross_kv, labels, edges, cache, prefix)
+            label_lp, edge_lp, cache = _step(cfg, params, cross_kv, labels, edges, cache,
+                                             prefix, starts, [encoder_sizes[r] for r in live])
             full = labels.shape[1] == max_nodes
             ids = choices[:1] if full else choices
             configs = [] if full else _edge_config_beam(edge_lp, width)
             selection = scores[:, None] + label_lp[:, ids]
-            survivors = []   # (parent, label, edge classes, score)
-            room = width
-            for flat in np.argsort(-selection, axis=None, kind="stable").tolist():
-                h, j = divmod(flat, len(ids))
-                if ids[j] == TOK_EOG:
-                    truncated = full and _argmax_allowed(label_lp[h], allowed) != TOK_EOG
-                    finished.append(GeneratedGraph(Graph(labels[h], edges[h]),
-                                                   score=selection[h, j], truncated=truncated))
-                    room -= 1
-                else:
-                    picked = configs[h][:room]
-                    survivors += [(h, ids[j], classes, selection[h, j] + config_score)
-                                  for classes, config_score in picked]
-                    room -= len(picked)
-                if not room:
-                    break
+            survivors = []   # (parent, label, edge classes, score), grouped by request
+            kept, kept_starts = [], []
+            for r, lo, hi in zip(live, starts, starts[1:] + [len(scores)]):
+                first = len(survivors)
+                room = width
+                for flat in np.argsort(-selection[lo:hi], axis=None, kind="stable").tolist():
+                    h, j = divmod(flat, len(ids))
+                    h += lo
+                    if ids[j] == TOK_EOG:
+                        truncated = full and _argmax_allowed(label_lp[h], allowed) != TOK_EOG
+                        finished[r].append(GeneratedGraph(Graph(labels[h], edges[h]),
+                                                          score=selection[h, j],
+                                                          truncated=truncated))
+                        room -= 1
+                    else:
+                        picked = configs[h][:room]
+                        survivors += [(h, ids[j], classes, selection[h, j] + config_score)
+                                      for classes, config_score in picked]
+                        room -= len(picked)
+                    if not room:
+                        break
+                if len(survivors) > first:
+                    kept.append(r)
+                    kept_starts.append(first)
             if not survivors:
                 break
             parents, new_labels, classes, new_scores = zip(*survivors)
@@ -499,5 +586,18 @@ def generate_beam(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tens
             edges = _extend_edges(edges[parents], np.array(classes, dtype=np.int64))
             scores = np.array(new_scores)
             cache = [rows[parents] for rows in cache]
-    finished.sort(key=lambda result: -result.score)
-    return finished[:width]
+            if len(kept) < len(live):    # drop the finished requests' encoder rows
+                cross_kv = [tuple(Tensor(t.data.reshape(n_req, n_keys, -1)[kept]
+                                         .reshape(len(kept) * n_keys, -1)) for t in kv)
+                            for kv in all_kv]
+            live, starts = kept, kept_starts
+    for results in finished:
+        results.sort(key=lambda result: -result.score)
+    return [results[:width] for results in finished]
+
+
+def generate_beam(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor,
+                  width: int, max_nodes: int, prefix: str = "dec") -> list[GeneratedGraph]:
+    """Beam search for one request (generate_beams of one); width 1 is greedy."""
+    return generate_beams(cfg, params, encoder_h, [encoder_h.shape[0]], width, max_nodes,
+                          prefix)[0]

@@ -69,14 +69,20 @@ def exact_match(pred: Graph, target: Graph) -> bool:
 
 @dataclass
 class MetricReport:
+    """Evaluation metrics; split names the dataset split they scored, when
+    the report comes from a training run ("val", or "train" when the val
+    split is empty)."""
+
     per_task_mae: dict[str, float] = field(default_factory=dict)
     std_mae: float | None = None
     log_mae: float | None = None
     exact_match_rate: float | None = None
     counts: dict[str, int] = field(default_factory=dict)
+    split: str | None = None
 
     def to_dict(self) -> dict:
         return {
+            "split": self.split,
             "per_task_mae": self.per_task_mae,
             "std_mae": self.std_mae,
             "log_mae": self.log_mae,

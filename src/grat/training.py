@@ -17,7 +17,8 @@ from .attention import EncoderConfig, encode, encode_batch, init_encoder_params,
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import GraphDataset, TranslationDataset, load_dataset, split_indices
 from .decoder import (DecoderBatch, DecoderConfig, GeneratedGraph, build_decoder_batch,
-                      decode_batch, generate_beam, init_decoder_params, n_edge_classes)
+                      decode_batch, generate_beam, generate_beams, init_decoder_params,
+                      n_edge_classes)
 from .errors import CheckpointError, ContractError, DataError, NumericError
 from .graph import (Graph, EdgeTypeVocab, NodeLabelVocab, TOK_CLS, TOK_REACTANT,
                     VIRTUAL, concat_graphs, prepend_token)
@@ -278,8 +279,9 @@ def _chunks(seq, size):
         yield seq[start:start + size]
 
 
-# graphs per padded encoder pass in evaluate_property: bounds the (B, n, n)
-# pair arrays of a large evaluation split
+# graphs per padded encoder pass in evaluate_property and per batched beam
+# search in evaluate_translation: bounds the (B, n, n) pair arrays of a large
+# evaluation split
 PREDICT_BATCH = 64
 
 
@@ -304,14 +306,21 @@ def evaluate_property(model: PropertyModel, graphs: list[Graph]) -> MetricReport
 
 def evaluate_translation(model: TranslationModel, pairs, max_nodes: int,
                          beam_width: int = 1) -> MetricReport:
-    """Exact-match rate of generated graphs against targets."""
+    """Exact-match rate of each source's best generated graph against its
+    target. Each chunk of up to PREDICT_BATCH sources runs one padded
+    encoder pass and one batched beam search (generate_beams)."""
     if not pairs:
         raise ContractError("evaluate_translation on an empty split")
     matches = truncated = 0
-    for srcs, tgt in pairs:
-        best = model.generate(srcs, beam_width, max_nodes)[0]
-        matches += exact_match(best.graph, tgt)
-        truncated += best.truncated
+    for chunk in _chunks(pairs, PREDICT_BATCH):
+        inputs = [model.source_input(srcs) for srcs, _ in chunk]
+        with ad.no_grad():
+            enc_h = encode_batch(model.enc_cfg, model.params, inputs)
+            beams = generate_beams(model.dec_cfg, model.params, enc_h, [g.n for g in inputs],
+                                   beam_width, max_nodes)
+        for (_, tgt), beam in zip(chunk, beams):
+            matches += exact_match(beam[0].graph, tgt)
+            truncated += beam[0].truncated
     return MetricReport(exact_match_rate=matches / len(pairs),
                         counts={"pairs": len(pairs), "matches": matches,
                                 "truncated": truncated})
@@ -336,8 +345,8 @@ class _Task:
 
     loss(indices, epoch) is the mean loss over those examples of the
     dataset, one mini-batch; epoch is None when validating. report() scores
-    the held-out split once training ends; em(), when given, is the
-    exact-match rate checked against cfg.em_stop.
+    the held-out split (scored) once training ends; em(), when given, is
+    the exact-match rate checked against cfg.em_stop.
     """
 
     model: object
@@ -345,6 +354,7 @@ class _Task:
     loss: Callable[[list[int], int | None], Tensor]
     report: Callable[[], MetricReport]
     em: Callable[[], float] | None = None
+    scored: str | None = None    # the split report() scores
 
 
 def _train_loop(cfg: RunConfig, task: _Task) -> int:
@@ -476,6 +486,7 @@ def train(cfg: RunConfig):
         raise
     save_checkpoint(cfg.out_checkpoint, model.params, _config_snapshot(cfg, model))
     report = task.report()
+    report.split = task.scored
     report.counts.update(steps=steps, train=len(task.split["train"]),
                          val=len(task.split["val"]), test=len(task.split["test"]))
     if cfg.metrics_out:
@@ -497,14 +508,15 @@ def _translation_task(cfg: RunConfig) -> _Task:
     # held-out behaviour, not training-set recall
     held_out = split["val"] or split["train"][:48]
 
-    def scored(idx):
+    def evaluate(idx):
         return evaluate_translation(model, [data.pairs[i] for i in idx], cfg.max_nodes)
 
     return _Task(model, split,
                  loss=lambda idx, _epoch: model.batch_loss([prepared[j][0] for j in idx],
                                                           [prepared[j][1] for j in idx]),
-                 report=lambda: scored(held_out),
-                 em=lambda: scored(held_out[:48]).exact_match_rate)
+                 report=lambda: evaluate(held_out),
+                 em=lambda: evaluate(held_out[:48]).exact_match_rate,
+                 scored="val" if split["val"] else "train")
 
 
 def _property_task(cfg: RunConfig) -> _Task:
@@ -525,7 +537,8 @@ def _property_task(cfg: RunConfig) -> _Task:
     return _Task(model, split,
                  loss=lambda idx, _epoch: model.batch_loss([inputs[j] for j in idx],
                                                           targets[idx]),
-                 report=lambda: evaluate_property(model, [data.graphs[i] for i in held_out]))
+                 report=lambda: evaluate_property(model, [data.graphs[i] for i in held_out]),
+                 scored="val" if split["val"] else "train")
 
 
 def _pretrain_task(cfg: RunConfig) -> _Task:

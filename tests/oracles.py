@@ -2,11 +2,13 @@
 
 Every function here recomputes expected values by a route that shares no code
 with the library: scalar loops, high-precision arithmetic, brute-force
-enumeration, or central finite differences. There are four exceptions, each
+enumeration, or central finite differences. There are five exceptions, each
 built from the library's own elementary ops:
   - greedy_reference and beam_reference check the cached, batched search
     against the library's uncached teacher-forced pass, one hypothesis at a
     time;
+  - evaluate_translation_reference scores a split one source at a time, each
+    with its own batch-of-one search, to check the batched evaluation;
   - film_attention and multi_head_film_reference rebuild attention one head at
     a time from matmul, transpose, mul, add and softmax_rows, with the tape
     deriving the backward, to check the fused all-heads op and its hand-written
@@ -27,6 +29,7 @@ from grat import autodiff as ad
 from grat import decoder as dec
 from grat.autodiff import Tensor
 from grat.graph import Graph, N_RESERVED_LABELS, NO_BOND, SELF, TOK_EOG
+from grat.objectives import MetricReport, exact_match
 
 
 def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -192,6 +195,19 @@ def beam_reference(cfg, params, memory, width, max_nodes) -> list[dec.GeneratedG
                                  selection + config_score))
     finished.sort(key=lambda entry: (-entry[0], entry[1]))
     return [result for _, _, result in finished[:width]]
+
+
+def evaluate_translation_reference(model, pairs, max_nodes, beam_width) -> MetricReport:
+    """evaluate_translation one source at a time: each source's best graph
+    from its own TranslationModel.generate call."""
+    matches = truncated = 0
+    for srcs, tgt in pairs:
+        best = model.generate(srcs, beam_width, max_nodes)[0]
+        matches += exact_match(best.graph, tgt)
+        truncated += best.truncated
+    return MetricReport(exact_match_rate=matches / len(pairs),
+                        counts={"pairs": len(pairs), "matches": matches,
+                                "truncated": truncated})
 
 
 def film_attention(q: Tensor, k: Tensor, v: Tensor, gamma: Tensor | None = None,

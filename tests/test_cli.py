@@ -74,6 +74,20 @@ class TestTrainEval:
         payload = json.loads(metrics.read_text())
         assert "exact_match_rate" in payload
 
+    @pytest.mark.parametrize("flags, code", [
+        (["--beam", 0], 1),
+        (["--max-nodes", 0], 1),
+        (["--max-nodes", 65], 2),     # 131 decoder positions, context 129
+    ], ids=["beam-0", "max-nodes-0", "max-nodes-beyond-context"])
+    def test_eval_translation_search_limits(self, copy_setup, capsys, flags, code):
+        _, data, ckpt = copy_setup
+        capsys.readouterr()
+        assert run(["eval", "--ckpt", ckpt, "--data", data] + flags) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("grat: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
     def test_eval_missing_checkpoint_is_data_error(self, tmp_path):
         data = tmp_path / "d.jsonl"
         write_jsonl(data, [{"nodes": ["A"], "edges": []}])

@@ -1,5 +1,6 @@
 """Two-path decoder: batch layout against the documented matrix patterns,
-parallel/sequential equivalence, causality, and greedy/beam generation."""
+parallel/sequential equivalence, causality, greedy/beam generation, and the
+batched search against per-request searches."""
 
 import dataclasses
 import itertools
@@ -11,7 +12,7 @@ from grat import autodiff as ad
 from grat import data
 from grat import decoder as dec
 from grat import graph as gm
-from grat.attention import EncoderConfig, encode
+from grat.attention import EncoderConfig, encode, encode_batch
 from grat.autodiff import Tensor
 from grat.decoder import DecoderConfig, build_decoder_batch, decode_forward
 from grat.errors import CapacityError, ContractError
@@ -354,7 +355,7 @@ class TestGeneration:
                 cross_kv = dec._cross_keys_values(CFG, params, memory, "dec")
                 for i in range(k + 1):
                     label_lp, edge_lp, cache = dec._step(CFG, params, cross_kv, labels, edges,
-                                                         cache, "dec")
+                                                         cache, "dec", [0], [memory.shape[0]])
                     assert edge_lp.shape[:2] == (len(targets), i)
                     for h, (batch, node_ref, edge_ref) in enumerate(full):
                         worst = max(worst, np.max(np.abs(label_lp[h] - node_ref[i])))
@@ -469,3 +470,92 @@ class TestGeneration:
             top = dec.generate_beam(CFG, params, memory, width=width, max_nodes=2)[0]
             assert not top.truncated
             assert abs(top.score - best) < 1e-9
+
+
+LV = gm.NodeLabelVocab(["A", "B", "C"])
+EV = gm.EdgeTypeVocab(["single", "double"])
+SMALL_ENC = EncoderConfig(layers=1, heads=2, width=CFG.width, ff_width=16, cond_hidden=4)
+
+
+def random_sources(rng, count):
+    """Sources of 1-9 nodes in all, each one to three parts (joined by
+    concat_graphs into one encoder input)."""
+    sources = []
+    for _ in range(count):
+        n_parts = int(rng.integers(1, 4))
+        sources.append([random_target(rng, k=int(rng.integers(1, 9 // n_parts + 1)))
+                        for _ in range(n_parts)])
+    return sources
+
+
+def generate_batched(model, sources, width, max_nodes):
+    """One padded encoder pass over the sources, then one batched search."""
+    inputs = [model.source_input(srcs) for srcs in sources]
+    with ad.no_grad():
+        enc_h = encode_batch(model.enc_cfg, model.params, inputs)
+        return dec.generate_beams(model.dec_cfg, model.params, enc_h, [g.n for g in inputs],
+                                  width, max_nodes)
+
+
+def assert_same_results(got, expect):
+    """Same graphs, order and truncated flags; scores within 1e-9."""
+    assert [(r.graph, r.truncated) for r in got] == [(r.graph, r.truncated) for r in expect]
+    assert max((abs(r.score - e.score) for r, e in zip(got, expect)), default=0.0) < 1e-9
+
+
+def eog_split_case():
+    """A model and sources on which greedy decoding takes <EOG> at step 0
+    for some sources and is cut at 4 nodes for others."""
+    model = TranslationModel.build(SMALL_ENC, CFG, LV, EV, seed=3)
+    model.params["dec.fl.b"].data[TOK_EOG] = 0.0
+    rng = np.random.default_rng(3)
+    return model, [[random_target(rng, k=int(rng.integers(1, 10)))] for _ in range(8)]
+
+
+class TestBatchedGeneration:
+    @pytest.mark.parametrize("width", [1, 3, 8])
+    @pytest.mark.parametrize("max_nodes", [1, 4])
+    def test_batched_search_matches_per_request_searches(self, width, max_nodes):
+        rng = np.random.default_rng(70 + width)
+        for seed in range(3):
+            model = TranslationModel.build(SMALL_ENC, CFG, LV, EV, seed=80 + seed)
+            sources = random_sources(rng, 6)
+            batched = generate_batched(model, sources, width, max_nodes)
+            assert len(batched) == len(sources)
+            for srcs, got in zip(sources, batched):
+                assert_same_results(got, model.generate(srcs, width, max_nodes))
+
+    @pytest.mark.parametrize("width", [1, 3, 8])
+    def test_request_finished_at_first_step_beside_truncated_one(self, width):
+        model, sources = eog_split_case()
+        tops = [model.generate(srcs, 1, 4)[0] for srcs in sources]
+        assert any(r.graph.n == 0 and not r.truncated for r in tops)
+        assert any(r.truncated for r in tops)
+        for srcs, got in zip(sources, generate_batched(model, sources, width, 4)):
+            assert_same_results(got, model.generate(srcs, width, 4))
+
+    def test_results_do_not_depend_on_batch_mates(self):
+        model = TranslationModel.build(SMALL_ENC, CFG, LV, EV, seed=90)
+        rng = np.random.default_rng(91)
+        probe = [random_target(rng, k=3)]
+        alone = model.generate(probe, 3, 4)
+        assert_same_results(generate_batched(model, [probe], 3, 4)[0], alone)
+        for mates in (random_sources(rng, 1), random_sources(rng, 5),
+                      [[random_target(rng, k=9)]], [probe, probe]):
+            for at in (0, len(mates)):
+                batch = mates[:at] + [probe] + mates[at:]
+                assert_same_results(generate_batched(model, batch, 3, 4)[at], alone)
+
+    def test_batched_search_checks_its_inputs_before_decoding(self, monkeypatch):
+        params = make_params(seed=92)
+        enc_h = random_memory(np.random.default_rng(93), n=6)
+        calls = []
+        monkeypatch.setattr(dec, "_step", lambda *args, **kw: calls.append(args))
+        for sizes in ([3, 3, 3, 3], [3, 4], [3, 0], []):
+            with pytest.raises(ContractError):
+                dec.generate_beams(CFG, params, enc_h, sizes, 2, 4)
+        with pytest.raises(ContractError):
+            dec.generate_beams(CFG, params, enc_h, [3, 3], 0, 4)
+        with pytest.raises(CapacityError):
+            dec.generate_beams(CFG, params, enc_h, [3, 3], 2, CFG.max_context)
+        assert calls == []

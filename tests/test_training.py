@@ -23,6 +23,7 @@ from grat.errors import CheckpointError, ContractError, DataError, NumericError
 from grat.objectives import cross_entropy_mean, exact_match, l1_mean, property_forward
 from grat.training import (PRESETS, RunConfig, config_from_dict, load_config,
                            model_from_checkpoint, train)
+from oracles import evaluate_translation_reference
 
 
 @pytest.fixture
@@ -126,7 +127,7 @@ class TestTrainLoop:
     def test_pretrain_runs(self, prop_data, tmp_path):
         cfg = quick_cfg("pretrain", prop_data, tmp_path, max_steps=4)
         model, report = train(cfg)
-        assert report.counts["steps"] == 4
+        assert report.counts["steps"] == 4 and report.split is None
         assert any(name.startswith("rec.") for name in model.params)
 
     def test_nan_loss_aborts_and_keeps_last_good_checkpoint(self, prop_data, tmp_path):
@@ -159,6 +160,21 @@ class TestEvaluation:
         data = load_dataset(prop_data, vocabs=(model.label_vocab, model.edge_vocab))
         for g in data.graphs[:5]:
             assert model.predict(g) == loaded.predict(g)
+
+    @pytest.mark.parametrize("task", ["translate", "property"])
+    def test_report_names_the_split_it_scored(self, task, tmp_path):
+        # at seed 1, 6 records all fall in the train split
+        metrics = tmp_path / "m.json"
+        for n, split in ((40, "val"), (6, "train")):
+            path = tmp_path / f"{task}{n}.jsonl"
+            write_jsonl(path, gen_copy_dataset(n, 4, 3, 2, seed=0) if task == "translate"
+                        else gen_property_dataset(n, seed=0, max_nodes=5))
+            _, report = train(quick_cfg(task, str(path), tmp_path, max_steps=2,
+                                        metrics_out=str(metrics)))
+            assert report.split == split
+            assert json.loads(metrics.read_text())["split"] == split
+            scored = report.counts["pairs" if task == "translate" else "graphs"]
+            assert scored == report.counts[split] > 0
 
     def test_property_eval_counts(self, prop_data, tmp_path):
         cfg = quick_cfg("property", prop_data, tmp_path, max_steps=3)
@@ -360,6 +376,56 @@ def per_graph_translation_loss(model, src, batch):
 def translation_pairs(model, rng, source_sizes, target_sizes):
     return ([model.source_input([random_graph(rng, n)]) for n in source_sizes],
             [build_decoder_batch(random_graph(rng, k)) for k in target_sizes])
+
+
+def copy_pairs(model, rng, sizes, max_nodes, width):
+    """Pairs of one-part sources of the given sizes; every other target is
+    the model's own top output (an exact match), the rest random graphs."""
+    pairs = []
+    for i, n in enumerate(sizes):
+        srcs = [random_graph(rng, n)]
+        target = (model.generate(srcs, width, max_nodes)[0].graph if i % 2
+                  else random_graph(rng, int(rng.integers(1, max_nodes + 1))))
+        pairs.append((srcs, target))
+    return pairs
+
+
+class TestEvaluateTranslation:
+    # at these <EOG> biases the best graph of some pairs is cut at max_nodes
+    # 3 and that of others ends earlier
+    @pytest.mark.parametrize("width, eog_bias", [(1, 0.5), (3, -2.85)])
+    def test_matches_per_source_reference(self, monkeypatch, width, eog_bias):
+        # more sources than one chunk, with a short last chunk
+        monkeypatch.setattr(tr, "PREDICT_BATCH", 3)
+        model = translation_model(seed=7)
+        model.params["dec.fl.b"].data[gm.TOK_EOG] = eog_bias
+        pairs = copy_pairs(model, np.random.default_rng(8), (1, 4, 2, 6, 3, 5, 1, 2), 3, width)
+        expect = evaluate_translation_reference(model, pairs, 3, width)
+        assert 0 < expect.counts["matches"] < len(pairs)
+        assert 0 < expect.counts["truncated"] < len(pairs)
+        assert tr.evaluate_translation(model, pairs, 3, width).to_dict() == expect.to_dict()
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_eog_always_chosen_gives_empty_graphs(self, width):
+        model = translation_model(seed=9)
+        model.params["dec.fl.b"].data[gm.TOK_EOG] = 1e3
+        rng = np.random.default_rng(10)
+        pairs = [([random_graph(rng, n)], random_graph(rng, k))
+                 for n, k in ((3, 1), (1, 4), (5, 2), (2, 0))]
+        report = tr.evaluate_translation(model, pairs, 4, width)
+        # only the empty target matches the empty graph
+        assert report.counts == {"pairs": 4, "matches": 1, "truncated": 0}
+        assert report.exact_match_rate == 0.25
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_eog_never_chosen_truncates_every_pair(self, width):
+        model = translation_model(seed=11)
+        model.params["dec.fl.b"].data[gm.TOK_EOG] = -1e3
+        rng = np.random.default_rng(12)
+        pairs = [([random_graph(rng, n)], random_graph(rng, k))
+                 for n, k in ((3, 3), (1, 4), (5, 5))]
+        report = tr.evaluate_translation(model, pairs, 2, width)
+        assert report.counts == {"pairs": 3, "matches": 0, "truncated": 3}
 
 
 class TestBatchedPass:
