@@ -203,15 +203,10 @@ def encode_batch(cfg: EncoderConfig, params: dict[str, Tensor], graphs: list[Gra
     return x
 
 
-def encode(cfg: EncoderConfig, params: dict[str, Tensor], g: Graph, prefix: str = "enc",
-           collect_attention: bool = False):
-    """encode_batch of one graph: its (n, d) node representations, and with
-    collect_attention the per-layer (heads, n, n) weights."""
-    out = encode_batch(cfg, params, [g], prefix, collect_attention)
-    if collect_attention:
-        h, collected = out
-        return h, [weights[0] for weights in collected]
-    return out
+def encode(cfg: EncoderConfig, params: dict[str, Tensor], g: Graph, prefix: str = "enc"
+           ) -> Tensor:
+    """encode_batch of one graph: its (n, d) node representations."""
+    return encode_batch(cfg, params, [g], prefix)
 
 
 def readout_cls(h: Tensor, rows: int | None = None) -> Tensor:

@@ -7,7 +7,8 @@
     grat dump-attention --ckpt model.ckpt --graph g.jsonl --layer 0 --out a.csv
     grat gen-data copy --out d.jsonl --seed 0 --n-graphs 200 ...
 
-Exit codes: 0 ok, 1 usage/contract error, 2 data error, 3 numeric failure.
+Exit codes: 0 ok, 1 usage/contract error, 2 data error (including a file that
+cannot be read or written), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ import sys
 from pathlib import Path
 
 from . import autodiff as ad
-from .attention import encode
+from .attention import encode_batch
 from .data import (gen_copy_dataset, gen_property_dataset, gen_relabel_dataset,
                    load_dataset, write_jsonl, GraphDataset, TranslationDataset)
 from .errors import (CapacityError, CheckpointError, ContractError, DataError,
                      GratError, NumericError)
-from .graph import graph_from_record, graph_to_record
+from .graph import graph_to_record
 from .smiles import write_smiles_lite
 from .training import (evaluate_property, evaluate_translation, load_config,
                        model_from_checkpoint, train)
@@ -127,8 +128,7 @@ def _cmd_generate(args) -> int:
     else:
         sources = [[g] for g in data.graphs]
     lines = []
-    for srcs in sources:
-        results = model.generate(srcs, args.beam, args.max_nodes)
+    for results in model.generate_batch(sources, args.beam, args.max_nodes):
         entries = []
         for r in results:
             if args.format == "smiles":
@@ -154,8 +154,8 @@ def dump_attention(model, g, layer: int, head: int | None, out_path):
     if head is not None and not 0 <= head < model.enc_cfg.heads:
         raise ContractError(f"head {head} out of range ({model.enc_cfg.heads} heads)")
     with ad.no_grad():
-        _, collected = encode(model.enc_cfg, model.params, g, collect_attention=True)
-    heads = collected[layer]
+        _, collected = encode_batch(model.enc_cfg, model.params, [g], collect_attention=True)
+    heads = collected[layer][0]
     weights = heads[head] if head is not None else heads.mean(axis=0)
     names = [model.label_vocab.name(lab) for lab in g.labels]
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
@@ -168,14 +168,10 @@ def dump_attention(model, g, layer: int, head: int | None, out_path):
 
 def _cmd_dump_attention(args) -> int:
     model, _ = model_from_checkpoint(args.ckpt)
-    raw = Path(args.graph).read_text(encoding="utf-8").strip().splitlines()
-    if not raw:
-        raise DataError(f"{args.graph} is empty")
-    record = json.loads(raw[0])
-    if "src" in record or "tgt" in record:
+    data = load_dataset(args.graph, vocabs=(model.label_vocab, model.edge_vocab))
+    if not isinstance(data, GraphDataset):
         raise DataError("dump-attention expects a plain graph record")
-    g = graph_from_record(record, model.label_vocab, model.edge_vocab, lineno=1)
-    dump_attention(model, g, args.layer, args.head, args.out)
+    dump_attention(model, data.graphs[0], args.layer, args.head, args.out)
     return 0
 
 
@@ -214,7 +210,7 @@ def main(argv=None) -> int:
     except ContractError as exc:
         print(f"grat: {exc}", file=sys.stderr)
         return 1
-    except (DataError, CheckpointError, CapacityError) as exc:
+    except (DataError, CheckpointError, CapacityError, OSError) as exc:
         print(f"grat: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the toolkit.
 
-CLI exit-code mapping: usage errors -> 1, DataError/CheckpointError -> 2,
-NumericError -> 3.
+CLI exit-code mapping: usage errors -> 1, DataError/CheckpointError and
+files that cannot be read or written (OSError) -> 2, NumericError -> 3.
 """
 
 

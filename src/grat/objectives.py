@@ -14,7 +14,8 @@ from .errors import ContractError
 from .decoder import edge_class_of_type
 from .graph import (Graph, MASK_EDGE, NO_BOND, TOK_CLS, TOK_MASK, VIRTUAL,
                     N_RESERVED_EDGES, N_RESERVED_LABELS, prepend_token)
-from .attention import EncoderConfig, encode
+from .attention import EncoderConfig, encode_batch, readout_cls
+from .attention import encode  # noqa: F401  (an import site perfbench's tracer checks)
 from .nn import affine, init_affine
 
 
@@ -170,42 +171,40 @@ def property_forward(params: dict[str, Tensor], cls_rows: Tensor,
     return affine(params, f"{prefix}.o", hidden)
 
 
-def pretrain_losses(cfg: EncoderConfig, params: dict[str, Tensor],
-                    sample: MaskedGraphSample, graph_targets: np.ndarray | None = None,
-                    enc_prefix: str = "enc", rec_prefix: str = "rec",
-                    prop_prefix: str = "prop") -> tuple[Tensor, Tensor, Tensor]:
-    """Recovery losses on a corrupted graph: (node_loss, edge_loss, graph_loss).
+def pretrain_loss(cfg: EncoderConfig, params: dict[str, Tensor],
+                  samples: list[MaskedGraphSample],
+                  graph_targets: np.ndarray | None = None) -> Tensor:
+    """Mean over the corrupted graphs of each one's recovery loss, from one
+    padded encoder pass over the graphs behind a prepended <CLS> token.
 
-    The corrupted graph is encoded behind a prepended <CLS> token. Node and
-    edge cross-entropies are taken at the corrupted positions only;
-    graph_loss is the property head's MAE against graph_targets, or a
-    constant zero when no targets are given.
+    A graph's loss is its node cross-entropy at the masked nodes plus, when
+    it has masked edges, its edge cross-entropy at those pairs, plus, with
+    graph_targets (B, tasks), the property head's MAE against its row. Each
+    graph's targets are weighted 1/B over their count, as in
+    TranslationModel.batch_loss, so the batch loss is the mean of the
+    per-graph losses. Every sample needs a masked node, as mask_graph makes.
     """
-    if not sample.node_targets and not sample.edge_targets:
-        raise ContractError("pretrain_losses: sample has no masked position")
-    h = encode(cfg, params, prepend_token(sample.graph, TOK_CLS, VIRTUAL),
-               prefix=enc_prefix)
-    zero = Tensor(0.0)
-    node_loss = zero
-    if sample.node_targets:
-        positions = sorted(sample.node_targets)
-        rows = h[np.asarray(positions) + 1]
-        logits = affine(params, f"{rec_prefix}.fl", rows)
-        node_loss = cross_entropy_mean(
-            logits, np.array([sample.node_targets[i] for i in positions]))
-    edge_loss = zero
-    if sample.edge_targets:
-        pairs = sorted(sample.edge_targets)
-        reduced = affine(params, f"{rec_prefix}.fp", h)
-        lo = ad.embedding_gather(reduced, np.array([i + 1 for i, _ in pairs]))
-        hi = ad.embedding_gather(reduced, np.array([j + 1 for _, j in pairs]))
-        pair_logits = affine(params, f"{rec_prefix}.fe2",
-                             ad.relu(affine(params, f"{rec_prefix}.fe1",
-                                            ad.concat([lo, hi], axis=1))))
-        classes = np.array([edge_class_of_type(sample.edge_targets[p]) for p in pairs])
-        edge_loss = cross_entropy_mean(pair_logits, classes)
-    graph_loss = zero
+    if not all(s.node_targets for s in samples):
+        raise ContractError("pretrain_loss: a sample has no masked node")
+    graphs = [prepend_token(s.graph, TOK_CLS, VIRTUAL) for s in samples]
+    n = max(g.n for g in graphs)
+    h = encode_batch(cfg, params, graphs)
+    share = 1.0 / len(samples)
+    # graph b's node i is row b*n + i + 1, behind its <CLS>
+    nodes = [(b * n + i + 1, label, share / len(s.node_targets))
+             for b, s in enumerate(samples) for i, label in sorted(s.node_targets.items())]
+    pairs = [(b * n + i + 1, b * n + j + 1, edge_class_of_type(t), share / len(s.edge_targets))
+             for b, s in enumerate(samples) for (i, j), t in sorted(s.edge_targets.items())]
+    rows, labels, weights = map(np.array, zip(*nodes))
+    loss = cross_entropy_mean(affine(params, "rec.fl", h[rows]), labels, weights)
+    if pairs:
+        lo, hi, classes, weights = map(np.array, zip(*pairs))
+        reduced = affine(params, "rec.fp", h)
+        pair_rows = ad.concat([ad.embedding_gather(reduced, lo),
+                               ad.embedding_gather(reduced, hi)], axis=1)
+        logits = affine(params, "rec.fe2", ad.relu(affine(params, "rec.fe1", pair_rows)))
+        loss = ad.add(loss, cross_entropy_mean(logits, classes, weights))
     if graph_targets is not None:
-        preds = property_forward(params, h[:1], prefix=prop_prefix)
-        graph_loss = l1_mean(preds, np.asarray(graph_targets, dtype=np.float64)[None])
-    return node_loss, edge_loss, graph_loss
+        preds = property_forward(params, readout_cls(h, n))
+        loss = ad.add(loss, l1_mean(preds, np.asarray(graph_targets, dtype=np.float64)))
+    return loss

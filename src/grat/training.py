@@ -13,7 +13,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Adam, Tensor
-from .attention import EncoderConfig, encode, encode_batch, init_encoder_params, readout_cls
+from .attention import EncoderConfig, encode_batch, init_encoder_params, readout_cls
+from .attention import encode  # TranslationModel.generate; perfbench's tracer wraps this site
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import GraphDataset, TranslationDataset, load_dataset, split_indices
 from .decoder import (DecoderBatch, DecoderConfig, GeneratedGraph, build_decoder_batch,
@@ -24,7 +25,7 @@ from .graph import (Graph, EdgeTypeVocab, NodeLabelVocab, TOK_CLS, TOK_REACTANT,
                     VIRTUAL, concat_graphs, prepend_token)
 from .objectives import (MetricReport, cross_entropy_mean, exact_match,
                          init_property_head, init_recovery_heads, l1_mean, log_mae,
-                         mask_graph, pretrain_losses, property_forward, std_mae)
+                         mask_graph, pretrain_loss, property_forward, std_mae)
 
 log = logging.getLogger("grat")
 
@@ -147,6 +148,16 @@ def load_config(path) -> RunConfig:
 # models
 
 
+def _chunks(seq, size):
+    for start in range(0, len(seq), size):
+        yield seq[start:start + size]
+
+
+# graphs per padded encoder pass in predict_batch and per batched beam search
+# in generate_batch: bounds the (B, n, n) pair arrays of a large input
+PREDICT_BATCH = 64
+
+
 def _transfer_params(params: dict[str, Tensor], ckpt_path: str):
     """Warm-start every parameter whose name and shape match the checkpoint."""
     ckpt = load_checkpoint(ckpt_path)
@@ -227,6 +238,20 @@ class TranslationModel:
             enc_h = encode(self.enc_cfg, self.params, self.source_input(srcs))
             return generate_beam(self.dec_cfg, self.params, enc_h, beam_width, max_nodes)
 
+    def generate_batch(self, sources: list[list[Graph]], beam_width: int, max_nodes: int
+                       ) -> list[list[GeneratedGraph]]:
+        """generate for each source, as one padded encoder pass and one batched
+        beam search (generate_beams) per chunk of up to PREDICT_BATCH sources.
+        Graphs and flags equal generate's; scores can differ in the last ulps."""
+        results = []
+        for chunk in _chunks(sources, PREDICT_BATCH):
+            inputs = [self.source_input(srcs) for srcs in chunk]
+            with ad.no_grad():
+                enc_h = encode_batch(self.enc_cfg, self.params, inputs)
+                results += generate_beams(self.dec_cfg, self.params, enc_h,
+                                          [g.n for g in inputs], beam_width, max_nodes)
+        return results
+
 
 @dataclass
 class PropertyModel:
@@ -248,9 +273,6 @@ class PropertyModel:
                               head_hidden, np.random.default_rng([seed, 0]))
         return cls(enc_cfg, label_vocab, edge_vocab, list(tasks), mu, sigma, params)
 
-    def loss_on(self, enc_input: Graph, targets_norm: np.ndarray) -> Tensor:
-        return self.batch_loss([enc_input], np.asarray(targets_norm)[None])
-
     def batch_loss(self, enc_inputs: list[Graph], targets_norm: np.ndarray) -> Tensor:
         """Mean L1 error of normalized predictions against targets (B, tasks)."""
         return l1_mean(self._forward(enc_inputs), targets_norm)
@@ -263,26 +285,19 @@ class PropertyModel:
         return self.predict_batch([g])[0]
 
     def predict_batch(self, graphs: list[Graph]) -> list[dict[str, float]]:
-        """Raw-unit predictions per graph, from one padded encoder pass."""
-        with ad.no_grad():
-            preds = self._forward([prepend_token(g, TOK_CLS, VIRTUAL) for g in graphs]).data
-        raw = preds * self.sigma + self.mu
-        return [{task: float(row[i]) for i, task in enumerate(self.tasks)} for row in raw]
+        """Raw-unit predictions per graph, from one padded encoder pass per
+        chunk of up to PREDICT_BATCH graphs."""
+        out = []
+        for chunk in _chunks(graphs, PREDICT_BATCH):
+            with ad.no_grad():
+                preds = self._forward([prepend_token(g, TOK_CLS, VIRTUAL) for g in chunk]).data
+            raw = preds * self.sigma + self.mu
+            out += [{task: float(row[i]) for i, task in enumerate(self.tasks)} for row in raw]
+        return out
 
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-
-def _chunks(seq, size):
-    for start in range(0, len(seq), size):
-        yield seq[start:start + size]
-
-
-# graphs per padded encoder pass in evaluate_property and per batched beam
-# search in evaluate_translation: bounds the (B, n, n) pair arrays of a large
-# evaluation split
-PREDICT_BATCH = 64
 
 
 def evaluate_property(model: PropertyModel, graphs: list[Graph]) -> MetricReport:
@@ -290,10 +305,9 @@ def evaluate_property(model: PropertyModel, graphs: list[Graph]) -> MetricReport
     if not graphs:
         raise ContractError("evaluate_property on an empty split")
     errors = {task: [] for task in model.tasks}
-    for chunk in _chunks(graphs, PREDICT_BATCH):
-        for g, preds in zip(chunk, model.predict_batch(chunk)):
-            for task in model.tasks:
-                errors[task].append(abs(preds[task] - g.properties[task]))
+    for g, preds in zip(graphs, model.predict_batch(graphs)):
+        for task in model.tasks:
+            errors[task].append(abs(preds[task] - g.properties[task]))
     per_task = {task: float(np.mean(errs)) for task, errs in errors.items()}
     sigma = {task: float(model.sigma[i]) for i, task in enumerate(model.tasks)}
     report = MetricReport(per_task_mae=per_task,
@@ -307,20 +321,14 @@ def evaluate_property(model: PropertyModel, graphs: list[Graph]) -> MetricReport
 def evaluate_translation(model: TranslationModel, pairs, max_nodes: int,
                          beam_width: int = 1) -> MetricReport:
     """Exact-match rate of each source's best generated graph against its
-    target. Each chunk of up to PREDICT_BATCH sources runs one padded
-    encoder pass and one batched beam search (generate_beams)."""
+    target, from one batched generate_batch call."""
     if not pairs:
         raise ContractError("evaluate_translation on an empty split")
     matches = truncated = 0
-    for chunk in _chunks(pairs, PREDICT_BATCH):
-        inputs = [model.source_input(srcs) for srcs, _ in chunk]
-        with ad.no_grad():
-            enc_h = encode_batch(model.enc_cfg, model.params, inputs)
-            beams = generate_beams(model.dec_cfg, model.params, enc_h, [g.n for g in inputs],
-                                   beam_width, max_nodes)
-        for (_, tgt), beam in zip(chunk, beams):
-            matches += exact_match(beam[0].graph, tgt)
-            truncated += beam[0].truncated
+    beams = model.generate_batch([srcs for srcs, _ in pairs], beam_width, max_nodes)
+    for (_, tgt), beam in zip(pairs, beams):
+        matches += exact_match(beam[0].graph, tgt)
+        truncated += beam[0].truncated
     return MetricReport(exact_match_rate=matches / len(pairs),
                         counts={"pairs": len(pairs), "matches": matches,
                                 "truncated": truncated})
@@ -564,30 +572,16 @@ def _pretrain_task(cfg: RunConfig) -> _Task:
                           len(tasks), cfg.head_hidden, np.random.default_rng([cfg.seed, 0]))
     model = PropertyModel(enc_cfg, data.label_vocab, data.edge_vocab, tasks, mu, sigma,
                           params)
+    # _select_tasks has checked that every graph carries every task
+    targets = (np.array([[g.properties[t] for t in tasks] for g in data.graphs]) - mu) / sigma
 
     def loss(indices, epoch):
-        # masks are drawn per graph, so the batch mean composes per-graph losses
-        total = None
-        for j in indices:
-            example = example_loss(j, epoch)
-            total = example if total is None else ad.add(total, example)
-        return ad.mul(total, 1.0 / len(indices))
-
-    def example_loss(j, epoch):
-        # training masks are redrawn every epoch; validation masks are fixed
-        key = [cfg.seed, 3, j] if epoch is None else [cfg.seed, 2, epoch, j]
-        g = data.graphs[j]
-        sample = mask_graph(g, cfg.mask_rate, np.random.default_rng(key))
-        graph_targets = None
-        if tasks and g.properties is not None:
-            raw = np.array([g.properties[t] for t in tasks])
-            graph_targets = (raw - mu) / sigma
-        node_loss, edge_loss, graph_loss = pretrain_losses(enc_cfg, params, sample,
-                                                           graph_targets)
-        total = ad.add(node_loss, edge_loss)
-        if graph_targets is not None:
-            total = ad.add(total, graph_loss)
-        return total
+        # each graph's mask has its own key: training masks are redrawn every
+        # epoch, validation masks are fixed
+        keys = [[cfg.seed, 3, j] if epoch is None else [cfg.seed, 2, epoch, j] for j in indices]
+        samples = [mask_graph(data.graphs[j], cfg.mask_rate, np.random.default_rng(key))
+                   for j, key in zip(indices, keys)]
+        return pretrain_loss(enc_cfg, params, samples, targets[indices] if tasks else None)
 
     return _Task(model, split, loss=loss, report=MetricReport)
 

@@ -16,7 +16,10 @@ built from the library's own elementary ops:
   - affine_reference and add_layer_norm_reference compose the fused affine and
     residual layer-norm ops from matmul, add and the plain layer norm;
   - edge_gamma_beta_per_pair runs the FiLM conditioner MLP on every node pair,
-    to check the library's one evaluation per edge type.
+    to check the library's one evaluation per edge type;
+  - pretrain_losses and pretrain_loss_reference score masked-graph pretraining
+    one corrupted graph at a time, each through its own encode, to check the
+    batched pretrain_loss.
 """
 
 from __future__ import annotations
@@ -28,8 +31,12 @@ import numpy as np
 from grat import autodiff as ad
 from grat import decoder as dec
 from grat.autodiff import Tensor
-from grat.graph import Graph, N_RESERVED_LABELS, NO_BOND, SELF, TOK_EOG
-from grat.objectives import MetricReport, exact_match
+from grat.attention import encode
+from grat.graph import Graph, N_RESERVED_LABELS, NO_BOND, SELF, TOK_CLS, TOK_EOG, VIRTUAL, \
+    prepend_token
+from grat.nn import affine
+from grat.objectives import (MetricReport, cross_entropy_mean, exact_match, l1_mean,
+                             property_forward)
 
 
 def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -263,3 +270,48 @@ def edge_gamma_beta_per_pair(params: dict[str, Tensor], name: str, edge_matrix: 
         gammas.append(ad.reshape(ad.add(raw[:, 2 * layer], 1.0), shape))
         betas.append(ad.reshape(raw[:, 2 * layer + 1], shape))
     return gammas, betas
+
+
+def pretrain_losses(cfg, params, sample, graph_targets=None) -> tuple[Tensor, Tensor, Tensor]:
+    """One corrupted graph's recovery losses: (node_loss, edge_loss, graph_loss).
+
+    The graph is encoded alone behind a prepended <CLS> token. Node and edge
+    cross-entropies are taken at the corrupted positions only; graph_loss is
+    the property head's MAE against graph_targets (tasks,). A loss with
+    nothing to score is a constant zero.
+    """
+    h = encode(cfg, params, prepend_token(sample.graph, TOK_CLS, VIRTUAL))
+    zero = Tensor(0.0)
+    node_loss = zero
+    if sample.node_targets:
+        positions = sorted(sample.node_targets)
+        logits = affine(params, "rec.fl", h[np.asarray(positions) + 1])
+        node_loss = cross_entropy_mean(
+            logits, np.array([sample.node_targets[i] for i in positions]))
+    edge_loss = zero
+    if sample.edge_targets:
+        pairs = sorted(sample.edge_targets)
+        reduced = affine(params, "rec.fp", h)
+        lo = ad.embedding_gather(reduced, np.array([i + 1 for i, _ in pairs]))
+        hi = ad.embedding_gather(reduced, np.array([j + 1 for _, j in pairs]))
+        pair_logits = affine(params, "rec.fe2",
+                             ad.relu(affine(params, "rec.fe1", ad.concat([lo, hi], axis=1))))
+        classes = np.array([dec.edge_class_of_type(sample.edge_targets[p]) for p in pairs])
+        edge_loss = cross_entropy_mean(pair_logits, classes)
+    graph_loss = zero
+    if graph_targets is not None:
+        preds = property_forward(params, h[:1])
+        graph_loss = l1_mean(preds, np.asarray(graph_targets, dtype=np.float64)[None])
+    return node_loss, edge_loss, graph_loss
+
+
+def pretrain_loss_reference(cfg, params, samples, graph_targets=None) -> Tensor:
+    """Mean over the samples of each one's node + edge (+ graph) loss from
+    pretrain_losses; graph_targets is (B, tasks) or None."""
+    total = None
+    for b, sample in enumerate(samples):
+        node_loss, edge_loss, graph_loss = pretrain_losses(
+            cfg, params, sample, None if graph_targets is None else graph_targets[b])
+        example = ad.add(ad.add(node_loss, edge_loss), graph_loss)
+        total = example if total is None else ad.add(total, example)
+    return ad.mul(total, 1.0 / len(samples))

@@ -386,10 +386,10 @@ class TestEncode:
                             neighbor_only=True)
         params = att.init_encoder_params(cfg, 11, 7, np.random.default_rng(14))
         g = gm.graph_from_edge_list([8, 9, 8, 10], [(0, 1, 5), (1, 2, 6), (2, 3, 5)])
-        _, collected = att.encode(cfg, params, g, collect_attention=True)
+        _, collected = att.encode_batch(cfg, params, [g], collect_attention=True)
         for layer_ws in collected:
-            assert layer_ws.shape == (cfg.heads, g.n, g.n)
-            for w in layer_ws:
+            assert layer_ws.shape == (1, cfg.heads, g.n, g.n)
+            for w in layer_ws[0]:
                 assert np.max(np.abs(w.sum(axis=-1) - 1.0)) < 1e-12
                 assert w[0, 2] == 0.0 and w[0, 3] == 0.0
 

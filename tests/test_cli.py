@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from grat import cli
+from grat import training
 from grat.checkpoint import load_checkpoint, save_checkpoint
 from grat.data import gen_property_dataset, load_dataset, write_jsonl
+from grat.graph import graph_to_record
 from grat.training import evaluate_property, load_config, model_from_checkpoint, train
 
 
@@ -29,6 +31,12 @@ def copy_setup(tmp_path):
         "batch_size": 8, "max_steps": 2, "out_checkpoint": str(ckpt)}))
     assert run(["train", "--config", config]) == 0
     return tmp_path, data, ckpt
+
+
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.err.startswith("grat: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def property_setup(tmp_path, name, feature_width):
@@ -162,7 +170,61 @@ class TestTrainEval:
             "grat: eval supports property and translation checkpoints\n"
 
 
+def train_argv(tmp_path, data, **paths):
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({
+        "task": "translate", "data": str(data), "max_steps": 1, "batch_size": 8,
+        "out_checkpoint": str(tmp_path / "m.ckpt"), **paths}))
+    return ["train", "--config", config]
+
+
+def dump_argv(tmp_path, ckpt, out):
+    graph_file = tmp_path / "one.jsonl"
+    graph_file.write_text(json.dumps({"nodes": ["A"], "edges": []}) + "\n")
+    return ["dump-attention", "--ckpt", ckpt, "--graph", graph_file, "--layer", 0,
+            "--out", out]
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("argv", [
+        lambda tmp, data, ckpt, bad: ["generate", "--ckpt", ckpt, "--src", data,
+                                      "--beam", 1, "--max-nodes", 4, "--out", bad],
+        lambda tmp, data, ckpt, bad: ["eval", "--ckpt", ckpt, "--data", data,
+                                      "--max-nodes", 4, "--metrics-out", bad],
+        lambda tmp, data, ckpt, bad: ["gen-data", "copy", "--out", bad, "--n-graphs", 2],
+        lambda tmp, data, ckpt, bad: train_argv(tmp, data, metrics_out=str(bad)),
+        lambda tmp, data, ckpt, bad: train_argv(tmp, data, out_checkpoint=str(bad)),
+        lambda tmp, data, ckpt, bad: dump_argv(tmp, ckpt, bad),
+    ], ids=["generate-out", "eval-metrics-out", "gen-data-out", "train-metrics-out",
+            "train-out-checkpoint", "dump-attention-out"])
+    def test_unwritable_output_is_data_error(self, copy_setup, capsys, argv):
+        tmp_path, data, ckpt = copy_setup
+        capsys.readouterr()
+        assert run(argv(tmp_path, data, ckpt, tmp_path / "missing" / "out")) == 2
+        assert_one_error_line(capsys)
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("beam", [1, 2])
+    def test_batched_output_matches_per_source_decoding(self, copy_setup, monkeypatch,
+                                                        beam):
+        tmp_path, data, ckpt = copy_setup
+        monkeypatch.setattr(training, "PREDICT_BATCH", 5)   # 24 sources: 5 chunks
+        out = tmp_path / "gen.jsonl"
+        assert run(["generate", "--ckpt", ckpt, "--src", data, "--beam", beam,
+                    "--max-nodes", 4, "--out", out]) == 0
+        model, _ = model_from_checkpoint(ckpt)
+        pairs = load_dataset(data, vocabs=(model.label_vocab, model.edge_vocab)).pairs
+        lines = out.read_text().splitlines()
+        assert len(lines) == len(pairs)
+        for line, (srcs, _) in zip(lines, pairs):
+            got = json.loads(line)
+            expect = model.generate(srcs, beam, 4)
+            assert [(e["graph"], e["truncated"]) for e in got] == [
+                (graph_to_record(r.graph, model.label_vocab, model.edge_vocab), r.truncated)
+                for r in expect]
+            assert max(abs(e["score"] - r.score) for e, r in zip(got, expect)) <= 1e-12
+
     def test_generate_graph_format(self, copy_setup, tmp_path):
         _, data, ckpt = copy_setup
         out = tmp_path / "gen.jsonl"
@@ -237,6 +299,27 @@ class TestDumpAttention:
         with open(out) as fh:
             rows = list(csv.reader(fh))
         assert float(rows[1][1]) == 1.0
+
+    @pytest.mark.parametrize("content", [None, "{\"nodes\": [\"A\"]\n", ""],
+                             ids=["missing-file", "malformed-json", "empty-file"])
+    def test_unreadable_graph_file_is_data_error(self, copy_setup, tmp_path, capsys,
+                                                 content):
+        _, _, ckpt = copy_setup
+        graph_file = tmp_path / "g.jsonl"
+        if content is not None:
+            graph_file.write_text(content)
+        capsys.readouterr()
+        assert run(["dump-attention", "--ckpt", ckpt, "--graph", graph_file,
+                    "--layer", 0, "--out", tmp_path / "att.csv"]) == 2
+        assert_one_error_line(capsys)
+        assert not (tmp_path / "att.csv").exists()
+
+    def test_translation_records_are_data_error(self, copy_setup, tmp_path, capsys):
+        _, data, ckpt = copy_setup
+        capsys.readouterr()
+        assert run(["dump-attention", "--ckpt", ckpt, "--graph", data,
+                    "--layer", 0, "--out", tmp_path / "att.csv"]) == 2
+        assert capsys.readouterr().err == "grat: dump-attention expects a plain graph record\n"
 
     def test_layer_out_of_range_is_usage_error(self, copy_setup, tmp_path):
         _, data, ckpt = copy_setup

@@ -1,6 +1,8 @@
 """Losses and metrics: MAE aggregates, exact match, masking statistics, and
-recovery-loss values against a log-softmax oracle."""
+the batched recovery loss against a log-softmax oracle and the per-graph
+composition."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +15,7 @@ from grat.attention import EncoderConfig, init_encoder_params
 from grat.autodiff import Tensor
 from grat.errors import ContractError
 from grat.graph import Graph, MASK_EDGE, NO_BOND, SELF, TOK_MASK
+from oracles import pretrain_loss_reference
 
 FIRST_LABEL = len(gm.RESERVED_LABEL_NAMES)
 FIRST_EDGE = len(gm.RESERVED_EDGE_NAMES)
@@ -133,22 +136,36 @@ def build_pretrain_params(seed=0, n_labels=11, n_edge_types=7):
     return params
 
 
+def loss_and_grads(params, build):
+    """build()'s loss value and every parameter's gradient after backward."""
+    for p in params.values():
+        p.zero_grad()
+    loss = build()
+    ad.backward(loss)
+    return loss.item(), {name: p.grad for name, p in params.items()}
+
+
+def without_edge_targets(sample):
+    return dataclasses.replace(sample, edge_targets={})
+
+
 class TestPretrainLosses:
     def test_uniform_logits_give_log_vocab(self):
         params = build_pretrain_params()
         params["rec.fl.w"].data[:] = 0.0
         params["rec.fl.b"].data[:] = 0.0
-        g = chain_graph(k=4)
-        sample = obj.mask_graph(g, 0.5, np.random.default_rng(8))
-        node_loss, _, _ = obj.pretrain_losses(CFG, params, sample)
-        assert abs(node_loss.item() - math.log(11)) < 1e-12
+        samples = [without_edge_targets(obj.mask_graph(chain_graph(k=k), 0.5,
+                                                       np.random.default_rng(8 + k)))
+                   for k in (4, 2, 6)]
+        loss = obj.pretrain_loss(CFG, params, samples)
+        assert abs(loss.item() - math.log(11)) < 1e-12
 
     def test_absent_graph_targets_give_zero(self):
         params = build_pretrain_params(seed=1)
         sample = obj.mask_graph(chain_graph(k=4), 0.5, np.random.default_rng(9))
-        _, _, graph_loss = obj.pretrain_losses(CFG, params, sample)
-        assert graph_loss.item() == 0.0
-        assert not graph_loss.requires_grad
+        _, grads = loss_and_grads(params, lambda: obj.pretrain_loss(CFG, params, [sample]))
+        assert grads["prop.o.w"] is None and grads["prop.h.w"] is None
+        assert grads["rec.fl.w"] is not None
 
     def test_hand_built_sample_matches_log_softmax_oracle(self):
         params = build_pretrain_params(seed=2)
@@ -159,14 +176,13 @@ class TestPretrainLosses:
             node_targets={0: g.labels[0]},
             edge_targets={(0, 1): int(g.edges[0, 1])},
         )
-        node_loss, edge_loss, _ = obj.pretrain_losses(CFG, params, sample)
+        loss = obj.pretrain_loss(CFG, params, [sample])
 
         from grat.attention import encode
-        from grat.nn import affine
         h = encode(CFG, params, gm.prepend_token(sample.graph, gm.TOK_CLS, gm.VIRTUAL))
         fl = h.data[1] @ params["rec.fl.w"].data + params["rec.fl.b"].data
         lse = np.log(np.exp(fl - fl.max()).sum()) + fl.max()
-        assert abs(node_loss.item() - (lse - fl[g.labels[0]])) < 1e-10
+        node_loss = lse - fl[g.labels[0]]
 
         red = h.data @ params["rec.fp.w"].data + params["rec.fp.b"].data
         pair = np.concatenate([red[1], red[2]])
@@ -174,23 +190,57 @@ class TestPretrainLosses:
         fe = hid @ params["rec.fe2.w"].data + params["rec.fe2.b"].data
         lse_e = np.log(np.exp(fe - fe.max()).sum()) + fe.max()
         from grat.decoder import edge_class_of_type
-        assert abs(edge_loss.item() - (lse_e - fe[edge_class_of_type(int(g.edges[0, 1]))])) < 1e-10
+        edge_loss = lse_e - fe[edge_class_of_type(int(g.edges[0, 1]))]
+        assert abs(loss.item() - (node_loss + edge_loss)) < 1e-10
 
     def test_no_masked_position_rejected(self):
         params = build_pretrain_params(seed=3)
-        sample = obj.MaskedGraphSample(graph=chain_graph(k=2), node_targets={},
-                                       edge_targets={})
-        with pytest.raises(ContractError):
-            obj.pretrain_losses(CFG, params, sample)
+        masked = obj.mask_graph(chain_graph(k=3), 0.5, np.random.default_rng(3))
+        g = chain_graph(k=2)
+        for targets in ({}, {(0, 1): int(g.edges[0, 1])}):
+            unmasked = obj.MaskedGraphSample(graph=g, node_targets={}, edge_targets=targets)
+            with pytest.raises(ContractError, match="no masked node"):
+                obj.pretrain_loss(CFG, params, [masked, unmasked])
 
     def test_total_loss_grads_flow_into_encoder_and_heads(self):
         params = build_pretrain_params(seed=4)
         g = chain_graph(k=5, props=None)
         sample = obj.mask_graph(g, 0.5, np.random.default_rng(10))
-        node_loss, edge_loss, graph_loss = obj.pretrain_losses(
-            CFG, params, sample, graph_targets=np.array([0.5, -1.0]))
-        total = ad.add(ad.add(node_loss, edge_loss), graph_loss)
-        ad.backward(total)
+        loss = obj.pretrain_loss(CFG, params, [sample], graph_targets=np.array([[0.5, -1.0]]))
+        ad.backward(loss)
         for name in ("enc.embed", "enc.cond.onehot", "rec.fl.w", "rec.fe2.w", "prop.o.w"):
             assert params[name].grad is not None, name
             assert np.all(np.isfinite(params[name].grad)), name
+
+    @pytest.mark.parametrize("sizes, edgeless, targets", [
+        ((5, 1, 7, 3, 2), (), False),
+        ((5, 1, 7, 3, 2), (), True),
+        ((4, 6, 2), (1,), False),
+        ((4, 6, 2), (1,), True),
+        ((4, 1, 6, 2), (0, 1, 2, 3), False),
+        ((4, 1, 6, 2), (0, 1, 2, 3), True),
+        ((6,), (), True),
+    ], ids=["ragged", "ragged-targets", "one-edgeless", "one-edgeless-targets",
+            "no-masked-edge", "no-masked-edge-targets", "single"])
+    def test_matches_per_graph_oracle(self, sizes, edgeless, targets):
+        """One padded pass scores each graph as its own encode does: the loss
+        and every gradient match the per-graph composition."""
+        params = build_pretrain_params(seed=5)
+        rng = np.random.default_rng(11)
+        samples = [obj.mask_graph(chain_graph(k=k), 0.6, rng) for k in sizes]
+        samples = [without_edge_targets(s) if b in edgeless else s
+                   for b, s in enumerate(samples)]
+        has_edges = [bool(s.edge_targets) for s in samples]
+        assert not any(has_edges[b] for b in edgeless)
+        assert any(has_edges) == (len(edgeless) < len(sizes))
+        graph_targets = rng.normal(size=(len(sizes), 2)) if targets else None
+        got, got_grads = loss_and_grads(
+            params, lambda: obj.pretrain_loss(CFG, params, samples, graph_targets))
+        expect, expect_grads = loss_and_grads(
+            params, lambda: pretrain_loss_reference(CFG, params, samples, graph_targets))
+        assert abs(got - expect) <= 1e-12
+        for name, grad in expect_grads.items():
+            if grad is None:
+                assert got_grads[name] is None, name
+            else:
+                assert np.max(np.abs(got_grads[name] - grad)) <= 1e-12, name

@@ -20,10 +20,11 @@ from grat.data import (gen_copy_dataset, gen_property_dataset, load_dataset,
                        write_jsonl)
 from grat.decoder import build_decoder_batch, decode_batch, decode_forward
 from grat.errors import CheckpointError, ContractError, DataError, NumericError
-from grat.objectives import cross_entropy_mean, exact_match, l1_mean, property_forward
+from grat.objectives import (cross_entropy_mean, exact_match, l1_mean, mask_graph,
+                             property_forward)
 from grat.training import (PRESETS, RunConfig, config_from_dict, load_config,
                            model_from_checkpoint, train)
-from oracles import evaluate_translation_reference
+from oracles import evaluate_translation_reference, pretrain_loss_reference
 
 
 @pytest.fixture
@@ -462,6 +463,30 @@ class TestBatchedPass:
                                                        g.n)), t)
             for g, t in zip(inputs, targets)]))
         assert_close(batched, per_graph)
+
+    @pytest.mark.parametrize("graph_level", [False, True])
+    def test_pretrain_task_loss_matches_per_graph_oracle(self, prop_data, tmp_path,
+                                                         graph_level):
+        cfg = quick_cfg("pretrain", prop_data, tmp_path, pretrain_graph_level=graph_level)
+        task = tr._pretrain_task(cfg)
+        model = task.model
+        assert bool(model.tasks) == graph_level
+        perturb_film(model.params, 9)
+        graphs = load_dataset(prop_data).graphs
+        indices = task.split["train"][:9]
+        targets = None
+        if graph_level:
+            raw = np.array([[graphs[j].properties[t] for t in model.tasks] for j in indices])
+            targets = (raw - model.mu) / model.sigma
+        # training masks are keyed by epoch, validation masks (epoch None) are not
+        for epoch, keys in ((0, [[cfg.seed, 2, 0, j] for j in indices]),
+                            (3, [[cfg.seed, 2, 3, j] for j in indices]),
+                            (None, [[cfg.seed, 3, j] for j in indices])):
+            samples = [mask_graph(graphs[j], cfg.mask_rate, np.random.default_rng(key))
+                       for j, key in zip(indices, keys)]
+            assert_close(loss_and_grads(model.params, lambda: task.loss(indices, epoch)),
+                         loss_and_grads(model.params, lambda: pretrain_loss_reference(
+                             model.enc_cfg, model.params, samples, targets)))
 
     def test_padding_neither_leaks_nor_learns(self, monkeypatch):
         model = translation_model(seed=5)
