@@ -32,7 +32,7 @@ from .nn import affine, init_affine, init_embedding, init_layer_norm, positional
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Desk-scale defaults; reference-scale presets live in the CLI config."""
+    """Desk-scale defaults; reference-scale presets live in training.PRESETS."""
 
     layers: int = 2
     heads: int = 4
@@ -50,10 +50,6 @@ class EncoderConfig:
                 raise ContractError(f"EncoderConfig.{name} must be positive")
         if self.width % self.heads:
             raise ContractError(f"width {self.width} not divisible by heads {self.heads}")
-
-    @property
-    def head_width(self) -> int:
-        return self.width // self.heads
 
 
 def init_conditioner(params: dict[str, Tensor], name: str, rng: np.random.Generator,
@@ -120,19 +116,19 @@ def project_keys_values(params: dict[str, Tensor], base: str, source: Tensor
 
 def multi_head_film_attention(cfg, params: dict[str, Tensor], base: str, x: Tensor,
                               gamma: Tensor | None = None, beta: Tensor | None = None,
-                              mask: np.ndarray | None = None, memory: Tensor | None = None,
+                              mask: np.ndarray | None = None,
                               kv: tuple[Tensor, Tensor] | None = None
                               ) -> tuple[Tensor, np.ndarray]:
     """All heads of one layer as one op; the (gamma, beta) pair is shared
     across heads. Returns the output rows and the weights, (heads, n, nk), or
     (B, heads, n, nk) for a batch of sequences (see ad.multi_head_attention).
 
-    Queries come from x; keys and values from memory when given (attention
-    onto the encoder output), otherwise from x itself, unless kv holds them
-    already projected.
+    Queries come from x; keys and values from x itself, unless kv holds
+    them already projected (the encoder output for cross-attention, or
+    cached rows and x during generation).
     """
     q = affine(params, f"{base}.q", x)
-    k, v = kv or project_keys_values(params, base, x if memory is None else memory)
+    k, v = kv or project_keys_values(params, base, x)
     out, weights = ad.multi_head_attention(q, k, v, cfg.heads, gamma, beta, mask)
     return affine(params, f"{base}.o", out), weights
 

@@ -104,7 +104,7 @@ def _cmd_eval(args) -> int:
         if not isinstance(data, TranslationDataset):
             raise DataError("translation checkpoint needs src/tgt records")
         report = evaluate_translation(model, data.pairs, args.max_nodes,
-                                      beam_width=args.beam)
+                                      width=args.beam)
     elif task == "property":
         if not isinstance(data, GraphDataset):
             raise DataError("property checkpoint needs plain graph records")

@@ -28,8 +28,8 @@ mini-batch of targets in one pass, each layout padded to the longest
 Generation runs the same equivalence the other way. Node positions never
 attend to <G> and the mask is causal, so a node's per-layer states are final
 once its label and edges are chosen. Beam search (greedy decoding is width 1)
-caches each hypothesis's node rows and decodes only the pending rows of all
-live hypotheses per step, in one batched pass, in the spirit of KV caching.
+caches each hypothesis's per-layer node keys and values and decodes only the
+pending rows of all live hypotheses per step, in one batched pass.
 One search serves R requests at once (generate_beams; generate_beam is its
 batch of one): the live set holds the hypotheses of every request, which all
 start together and so share a node count. In self-attention each hypothesis
@@ -86,10 +86,6 @@ class DecoderConfig:
                 raise ContractError(f"DecoderConfig.{name} must be positive")
         if self.width % self.heads:
             raise ContractError(f"width {self.width} not divisible by heads {self.heads}")
-
-    @property
-    def head_width(self) -> int:
-        return self.width // self.heads
 
 
 # ---------------------------------------------------------------------------
@@ -224,16 +220,17 @@ def _layers(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[
             x: Tensor, edge_matrix: np.ndarray, mask: np.ndarray, prefix: str,
             cached: list[np.ndarray] | None = None, cross_mask: np.ndarray | None = None,
             cross_rows: tuple[np.ndarray, np.ndarray] | None = None
-            ) -> tuple[Tensor, list[Tensor]]:
-    """The decoder stack over the input rows x; returns the output rows and
-    each layer's input rows. cross_kv is _cross_keys_values's output.
+            ) -> tuple[Tensor, list[np.ndarray]]:
+    """The decoder stack over the input rows x; returns the output rows and,
+    with cached, each layer's self-attention keys and values of those rows
+    (2L arrays). cross_kv is _cross_keys_values's output.
 
     x holds B sequences of equal row count, and edge_matrix and mask are
     (B, rows, keys): sequence b's rows attend only to its own keys. Without
-    cached, the keys are the sequence's own rows. With cached (per layer, a
-    (B, c, width) array), sequence b's keys are its c cached rows, then its
-    own rows; the cached rows carry no gradient, so that path is for
-    inference only.
+    cached, the keys are the sequence's own rows. With cached (per layer, the
+    keys then the values of c earlier rows, (B, c, width) arrays), sequence
+    b's keys are its c cached rows, then its own rows; the cached rows carry
+    no gradient, so that path is for inference only.
 
     Cross-attention splits the rows of x evenly into the sequences of
     cross_mask's batch axis, S of them (one when cross_mask is None), and
@@ -244,17 +241,18 @@ def _layers(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[
     output rows are put back in x's order by [scatter].
     """
     gammas, betas = edge_gamma_beta(params, f"{prefix}.cond", edge_matrix, cfg.layers)
-    inputs = []
+    projected = []
     for i in range(cfg.layers):
         base = f"{prefix}.l{i}"
-        inputs.append(x)
-        keys = None
+        kv = None
         if cached is not None:
-            groups, _, width = cached[i].shape
-            keys = Tensor(np.concatenate([cached[i], x.data.reshape(groups, -1, width)],
-                                         axis=1).reshape(-1, width))
+            new = [t.data for t in project_keys_values(params, f"{base}.self", x)]
+            projected += new
+            groups, _, width = cached[2 * i].shape
+            kv = tuple(Tensor(np.concatenate([old, rows.reshape(groups, -1, width)], axis=1)
+                              .reshape(-1, width)) for old, rows in zip(cached[2 * i:], new))
         attn, _ = multi_head_film_attention(cfg, params, f"{base}.self", x,
-                                            gammas[i], betas[i], mask, memory=keys)
+                                            gammas[i], betas[i], mask, kv=kv)
         x = ad.layer_norm(x, params[f"{base}.ln1.g"], params[f"{base}.ln1.b"], residual=attn)
         queries = x if cross_rows is None else x[cross_rows[0]]
         cross, _ = multi_head_film_attention(cfg, params, f"{base}.cross", queries,
@@ -264,7 +262,7 @@ def _layers(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[
         x = ad.layer_norm(x, params[f"{base}.ln2.g"], params[f"{base}.ln2.b"], residual=cross)
         ff = feed_forward(params, base, x)
         x = ad.layer_norm(x, params[f"{base}.ln3.g"], params[f"{base}.ln3.b"], residual=ff)
-    return x, inputs
+    return x, projected
 
 
 def _edge_logits(params: dict[str, Tensor], prefix: str,
@@ -428,14 +426,14 @@ def _step(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[Te
     """Decode the pending rows of h live hypotheses of m nodes in one pass.
 
     labels (h, m) and edges (h, m, m) hold the prefixes. cache holds, per
-    layer, the input rows of nodes 1..m-1 (h, m-1, width), then their final
-    dec.fp projections; node m is pending. Each hypothesis is one sequence
-    of the self-attention batch: its pending rows, node m and the next <G>,
-    attend to its cached node rows, then its own pending rows. Hypotheses
-    are grouped by request, request r's starting at starts[r], and each
-    request is one sequence of cross-attention onto its own block of the
-    encoder rows in cross_kv, of which the first key_sizes[r] are real
-    (_cross_layout). Returns the next
+    layer, the self-attention keys and then the values of nodes 1..m-1
+    (h, m-1, width), then their final dec.fp projections; node m is
+    pending. Each hypothesis is one sequence of the self-attention batch:
+    its pending rows, node m and the next <G>, attend to its cached node
+    keys, then its own pending rows. Hypotheses are grouped by request,
+    request r's starting at starts[r], and each request is one sequence of
+    cross-attention onto its own block of the encoder rows in cross_kv, of
+    which the first key_sizes[r] are real (_cross_layout). Returns the next
     label's log-probs (h, labels), the edge-class log-probs against nodes
     1..m (h, m, classes), and the cache extended by node m.
     """
@@ -451,8 +449,8 @@ def _step(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[Te
                                      (n_hyp, 1))))
     cross_mask, cross_rows = _cross_layout(starts, n_hyp, key_sizes,
                                            cross_kv[0][0].shape[0] // len(key_sizes), n_pos)
-    x, inputs = _layers(cfg, params, cross_kv, x, edge_matrix[grid], mask[grid], prefix,
-                        cache[:-1], cross_mask, cross_rows)
+    x, projected = _layers(cfg, params, cross_kv, x, edge_matrix[grid], mask[grid], prefix,
+                           cache[:-1], cross_mask, cross_rows)
     label_lp = ad.log_softmax_rows(affine(params, f"{prefix}.fl", x[n_pos - 1::n_pos])).data
     if m == 0:
         return label_lp, np.zeros((n_hyp, 0, 0)), cache
@@ -461,9 +459,9 @@ def _step(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[Te
     edge_logits = _edge_logits(params, prefix, Tensor(np.repeat(p_rows[:, 1], m, axis=0)),
                                Tensor(p_nodes.reshape(n_hyp * m, -1)))
     edge_lp = ad.log_softmax_rows(edge_logits).data.reshape(n_hyp, m, -1)
-    # node m's input row, per layer
-    return label_lp, edge_lp, [np.concatenate([rows, x_in.data[::n_pos, None]], axis=1)
-                               for rows, x_in in zip(cache, inputs)] + [p_nodes]
+    # node m's keys and values, per layer
+    return label_lp, edge_lp, [np.concatenate([rows, new[::n_pos, None]], axis=1)
+                               for rows, new in zip(cache, projected)] + [p_nodes]
 
 
 def _edge_config_beam(edge_lp: np.ndarray, width: int
@@ -542,7 +540,7 @@ def generate_beams(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Ten
     labels = np.zeros((n_req, 0), dtype=np.int64)
     edges = np.zeros((n_req, 0, 0), dtype=np.int64)
     scores = np.zeros(n_req)
-    cache = ([np.zeros((n_req, 0, cfg.width))] * cfg.layers
+    cache = ([np.zeros((n_req, 0, cfg.width))] * (2 * cfg.layers)
              + [np.zeros((n_req, 0, cfg.pair_width))])
     finished: list[list[GeneratedGraph]] = [[] for _ in range(n_req)]
     with ad.no_grad():

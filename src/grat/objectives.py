@@ -145,30 +145,29 @@ def mask_graph(g: Graph, rate: float, rng: np.random.Generator) -> MaskedGraphSa
 
 
 def init_recovery_heads(cfg: EncoderConfig, n_labels: int, n_edge_classes: int,
-                        rng: np.random.Generator, prefix: str = "rec",
-                        pair_width: int = 32, fe_hidden: int = 64) -> dict[str, Tensor]:
+                        rng: np.random.Generator, pair_width: int = 32,
+                        fe_hidden: int = 64) -> dict[str, Tensor]:
     """Label head plus a pairwise edge head of the generation-head shape."""
     params: dict[str, Tensor] = {}
-    init_affine(params, f"{prefix}.fl", rng, cfg.width, n_labels)
-    init_affine(params, f"{prefix}.fp", rng, cfg.width, pair_width)
-    init_affine(params, f"{prefix}.fe1", rng, 2 * pair_width, fe_hidden)
-    init_affine(params, f"{prefix}.fe2", rng, fe_hidden, n_edge_classes)
+    init_affine(params, "rec.fl", rng, cfg.width, n_labels)
+    init_affine(params, "rec.fp", rng, cfg.width, pair_width)
+    init_affine(params, "rec.fe1", rng, 2 * pair_width, fe_hidden)
+    init_affine(params, "rec.fe2", rng, fe_hidden, n_edge_classes)
     return params
 
 
 def init_property_head(cfg: EncoderConfig, n_tasks: int, rng: np.random.Generator,
-                       prefix: str = "prop", hidden: int = 64) -> dict[str, Tensor]:
+                       hidden: int = 64) -> dict[str, Tensor]:
     params: dict[str, Tensor] = {}
-    init_affine(params, f"{prefix}.h", rng, cfg.width, hidden)
-    init_affine(params, f"{prefix}.o", rng, hidden, n_tasks)
+    init_affine(params, "prop.h", rng, cfg.width, hidden)
+    init_affine(params, "prop.o", rng, hidden, n_tasks)
     return params
 
 
-def property_forward(params: dict[str, Tensor], cls_rows: Tensor,
-                     prefix: str = "prop") -> Tensor:
+def property_forward(params: dict[str, Tensor], cls_rows: Tensor) -> Tensor:
     """Graph-level property predictions (B, tasks) from the <CLS> readout rows (B, d)."""
-    hidden = ad.relu(affine(params, f"{prefix}.h", cls_rows))
-    return affine(params, f"{prefix}.o", hidden)
+    hidden = ad.relu(affine(params, "prop.h", cls_rows))
+    return affine(params, "prop.o", hidden)
 
 
 def pretrain_loss(cfg: EncoderConfig, params: dict[str, Tensor],

@@ -57,7 +57,6 @@ PRESETS: dict[str, dict] = {
         "decoder": {"layers": 24, "heads": 8, "width": 128, "ff_width": 256,
                     "cond_hidden": 32, "pair_width": 64, "fe_hidden": 128},
         "batch_size": 128,
-        "beam_width": 8,
         "head_hidden": 512,
     },
 }
@@ -70,21 +69,16 @@ class RunConfig:
     preset: str = "desk"
     seed: int = 0
     epochs: int = 200
-    batch_size: int = 16
+    batch_size: int | None = None    # None: the preset's
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    warmup_steps: int = 0
     max_steps: int | None = None
     patience: int = 10
     eval_every: int = 1
-    beam_width: int = 8
     max_nodes: int = 32
     mask_rate: float = 0.15
     pretrain_graph_level: bool = False
     property_tasks: list[str] | None = None
-    head_hidden: int = 64
+    head_hidden: int | None = None   # None: the preset's
     em_stop: float | None = None
     selection: str = "val"  # "val": restore best-val params; "last": keep final
     init_checkpoint: str | None = None
@@ -98,6 +92,9 @@ class RunConfig:
             raise ContractError(f"unknown task {self.task!r}; expected one of {TASKS}")
         if self.preset not in PRESETS:
             raise ContractError(f"unknown preset {self.preset!r}")
+        for name in ("batch_size", "head_hidden"):
+            if getattr(self, name) is None:
+                setattr(self, name, PRESETS[self.preset][name])
         if self.selection not in ("val", "last"):
             raise ContractError(f"selection must be 'val' or 'last', got {self.selection!r}")
         for section, known in (("encoder", EncoderConfig), ("decoder", DecoderConfig)):
@@ -126,12 +123,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     unknown = set(raw) - known
     if unknown:
         raise DataError(f"unknown config keys {sorted(unknown)}")
-    preset = raw.get("preset", "desk")
-    if preset not in PRESETS:
-        raise ContractError(f"unknown preset {preset!r}")
-    merged = {k: v for k, v in PRESETS[preset].items() if k not in ("encoder", "decoder")}
-    merged.update(raw)
-    return RunConfig(**merged)
+    return RunConfig(**raw)
 
 
 def load_config(path) -> RunConfig:
@@ -231,14 +223,14 @@ class TranslationModel:
                                                    np.concatenate(edge_weights)))
         return loss
 
-    def generate(self, srcs: list[Graph], beam_width: int, max_nodes: int
+    def generate(self, srcs: list[Graph], width: int, max_nodes: int
                  ) -> list[GeneratedGraph]:
-        """Beam search; at beam_width 1 it is greedy decoding, one graph."""
+        """Beam search; at width 1 it is greedy decoding, one graph."""
         with ad.no_grad():
             enc_h = encode(self.enc_cfg, self.params, self.source_input(srcs))
-            return generate_beam(self.dec_cfg, self.params, enc_h, beam_width, max_nodes)
+            return generate_beam(self.dec_cfg, self.params, enc_h, width, max_nodes)
 
-    def generate_batch(self, sources: list[list[Graph]], beam_width: int, max_nodes: int
+    def generate_batch(self, sources: list[list[Graph]], width: int, max_nodes: int
                        ) -> list[list[GeneratedGraph]]:
         """generate for each source, as one padded encoder pass and one batched
         beam search (generate_beams) per chunk of up to PREDICT_BATCH sources.
@@ -249,7 +241,7 @@ class TranslationModel:
             with ad.no_grad():
                 enc_h = encode_batch(self.enc_cfg, self.params, inputs)
                 results += generate_beams(self.dec_cfg, self.params, enc_h,
-                                          [g.n for g in inputs], beam_width, max_nodes)
+                                          [g.n for g in inputs], width, max_nodes)
         return results
 
 
@@ -319,13 +311,13 @@ def evaluate_property(model: PropertyModel, graphs: list[Graph]) -> MetricReport
 
 
 def evaluate_translation(model: TranslationModel, pairs, max_nodes: int,
-                         beam_width: int = 1) -> MetricReport:
+                         width: int = 1) -> MetricReport:
     """Exact-match rate of each source's best generated graph against its
     target, from one batched generate_batch call."""
     if not pairs:
         raise ContractError("evaluate_translation on an empty split")
     matches = truncated = 0
-    beams = model.generate_batch([srcs for srcs, _ in pairs], beam_width, max_nodes)
+    beams = model.generate_batch([srcs for srcs, _ in pairs], width, max_nodes)
     for (_, tgt), beam in zip(pairs, beams):
         matches += exact_match(beam[0].graph, tgt)
         truncated += beam[0].truncated
@@ -354,7 +346,8 @@ class _Task:
     loss(indices, epoch) is the mean loss over those examples of the
     dataset, one mini-batch; epoch is None when validating. report() scores
     the held-out split (scored) once training ends; em(), when given, is
-    the exact-match rate checked against cfg.em_stop.
+    the exact-match rate on up to 48 pairs of that split, checked against
+    cfg.em_stop.
     """
 
     model: object
@@ -366,8 +359,8 @@ class _Task:
 
 
 def _train_loop(cfg: RunConfig, task: _Task) -> int:
-    """Shared epoch scaffold: shuffled mini-batches, Adam, optional warmup,
-    early stopping on the mean validation loss, optional exact-match stop.
+    """Shared epoch scaffold: shuffled mini-batches, Adam, early stopping on
+    the mean validation loss, optional exact-match stop.
 
     Validation falls back to the first tenth of the training split when the
     val split is empty. Returns the number of optimizer steps taken.
@@ -375,7 +368,7 @@ def _train_loop(cfg: RunConfig, task: _Task) -> int:
     params = task.model.params
     train_idx = task.split["train"]
     val_idx = task.split["val"] or train_idx[: max(1, len(train_idx) // 10)]
-    adam = Adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    adam = Adam(params, lr=cfg.lr)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
     track_em = cfg.em_stop is not None and task.em is not None
     best = float("inf")
@@ -392,8 +385,6 @@ def _train_loop(cfg: RunConfig, task: _Task) -> int:
             if not np.isfinite(loss.data):
                 raise NumericError(f"non-finite training loss at step {steps}")
             ad.backward(loss)
-            if cfg.warmup_steps:
-                adam.lr = cfg.lr * min(1.0, (steps + 1) / cfg.warmup_steps)
             adam.step()
             adam.zero_grad()
             epoch_losses.append(loss.item())
@@ -419,7 +410,7 @@ def _train_loop(cfg: RunConfig, task: _Task) -> int:
                 # teacher-forced graph tasks the val loss can worsen while
                 # exact-match still climbs
                 em = task.em()
-                log.info("epoch %d: train exact-match %.3f", epoch, em)
+                log.info("epoch %d: %s exact-match %.3f", epoch, task.scored, em)
                 if em > best_em:
                     best_em = em
                     best_snap = _snapshot(params)
@@ -460,7 +451,6 @@ def _config_snapshot(cfg: RunConfig, model) -> dict:
         "labels": list(model.label_vocab.real_names),
         "edges": list(model.edge_vocab.real_names),
         "encoder": dataclasses.asdict(model.enc_cfg),
-        "beam_width": cfg.beam_width,
         "max_nodes": cfg.max_nodes,
         "head_hidden": cfg.head_hidden,
     }

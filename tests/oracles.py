@@ -2,7 +2,7 @@
 
 Every function here recomputes expected values by a route that shares no code
 with the library: scalar loops, high-precision arithmetic, brute-force
-enumeration, or central finite differences. There are five exceptions, each
+enumeration, or central finite differences. There are six exceptions, each
 built from the library's own elementary ops:
   - greedy_reference and beam_reference check the cached, batched search
     against the library's uncached teacher-forced pass, one hypothesis at a

@@ -139,6 +139,19 @@ class TestTrainEval:
     def test_train_missing_config_is_data_error(self, tmp_path):
         assert run(["train", "--config", tmp_path / "nope.json"]) == 2
 
+    @pytest.mark.parametrize("key, value", [("beam_width", 8), ("beta1", 0.9),
+                                            ("beta2", 0.999), ("eps", 1e-8),
+                                            ("warmup_steps", 0)])
+    def test_train_config_naming_a_removed_option_is_data_error(self, tmp_path, capsys,
+                                                                key, value):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"task": "translate", "data": str(tmp_path / "x.jsonl"),
+                                      key: value}))
+        assert run(["train", "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"grat: unknown config keys ['{key}']\n"
+
     def test_usage_error_exit_one(self):
         with pytest.raises(SystemExit) as info:
             run(["train"])  # missing --config

@@ -350,7 +350,7 @@ class TestGeneration:
                 n = len(targets)
                 labels = np.zeros((n, 0), dtype=np.int64)
                 edges = np.zeros((n, 0, 0), dtype=np.int64)
-                cache = ([np.zeros((n, 0, CFG.width))] * CFG.layers
+                cache = ([np.zeros((n, 0, CFG.width))] * (2 * CFG.layers)
                          + [np.zeros((n, 0, CFG.pair_width))])
                 cross_kv = dec._cross_keys_values(CFG, params, memory, "dec")
                 for i in range(k + 1):

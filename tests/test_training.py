@@ -5,8 +5,12 @@ the padded mini-batch pass against the per-graph path."""
 import dataclasses
 import functools
 import json
+import logging
+import math
 import os
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +60,9 @@ class TestConfig:
         enc = cfg.encoder_config()
         assert enc.heads == 8 and enc.width == 64 and enc.layers == 2
         assert cfg.batch_size == 16
+        cfg = config_from_dict({"task": "property", "preset": "paper-qm9", "batch_size": 4,
+                                "head_hidden": 8})
+        assert (cfg.batch_size, cfg.head_hidden) == (4, 8)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(DataError, match="unknown config keys"):
@@ -90,7 +97,25 @@ class TestConfig:
         assert 2 * uspto["layers"] == 48
         assert PRESETS["paper-qm9"]["batch_size"] == 50
         assert PRESETS["paper-uspto"]["batch_size"] == 128
-        assert PRESETS["paper-uspto"]["beam_width"] == 8
+
+    @pytest.mark.parametrize("task", ["property", "translate"])
+    @pytest.mark.parametrize("preset, batch_size, head_hidden", [
+        ("desk", 16, 64), ("paper-qm9", 50, 512), ("paper-uspto", 128, 512)])
+    def test_preset_fills_batch_size_and_head_hidden(self, task, preset, batch_size,
+                                                     head_hidden):
+        raw = {"task": task, "preset": preset}
+        cfg = RunConfig(**raw)
+        assert (cfg.batch_size, cfg.head_hidden) == (batch_size, head_hidden)
+        assert config_from_dict(raw) == cfg
+
+    def test_readme_configs_are_accepted(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", readme,
+                                                             flags=re.DOTALL)
+                  if '"task"' in block]
+        assert blocks
+        for raw in blocks:
+            config_from_dict(raw)
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "c.json"
@@ -151,6 +176,38 @@ class TestTrainLoop:
         for name, p in fine_model.params.items():
             if name.startswith("enc."):
                 assert np.array_equal(p.data, pre_model.params[name].data), name
+
+    def test_em_stop_ends_the_run_at_the_first_evaluation(self, copy_data, tmp_path, caplog):
+        # every exact-match rate reaches 0.0, so the epoch-0 evaluation stops
+        cfg = quick_cfg("translate", copy_data, tmp_path, epochs=5, max_steps=None,
+                        em_stop=0.0, selection="last")
+        with caplog.at_level(logging.INFO, logger="grat"):
+            _, report = train(cfg)
+        assert report.counts["steps"] == math.ceil(report.counts["train"] / cfg.batch_size)
+        # exact match scores held-out pairs, and the log names that split
+        assert "epoch 0: val exact-match" in caplog.text
+
+    def test_em_stop_restores_the_best_exact_match_snapshot(self, copy_data, tmp_path,
+                                                            monkeypatch):
+        one_epoch, _ = train(quick_cfg("translate", copy_data, tmp_path, epochs=1,
+                                       max_steps=None, selection="last"))
+        # exact match peaks after the first epoch and never reaches em_stop
+        rates = iter([0.5, 0.25, 0.0])
+        evaluate = tr.evaluate_translation
+
+        def scripted(*args, **kwargs):
+            report = evaluate(*args, **kwargs)
+            report.exact_match_rate = next(rates, report.exact_match_rate)
+            return report
+
+        monkeypatch.setattr(tr, "evaluate_translation", scripted)
+        cfg = quick_cfg("translate", copy_data, tmp_path, epochs=3, max_steps=None,
+                        em_stop=0.9, selection="last")
+        model, report = train(cfg)
+        assert report.counts["steps"] == 3 * math.ceil(report.counts["train"] / cfg.batch_size)
+        assert next(rates, None) is None
+        for name, p in one_epoch.params.items():
+            assert np.array_equal(model.params[name].data, p.data), name
 
 
 class TestEvaluation:
@@ -231,7 +288,7 @@ class TestCheckpointContract:
             assert model.predict(g) == loaded.predict(g)
 
     def test_snapshot_without_optional_keys_loads(self, prop_data, tmp_path):
-        # no seed, head_hidden, beam_width or max_nodes: head_hidden falls
+        # no seed, head_hidden or max_nodes: head_hidden falls
         # back to PropertyModel.build's default
         data = load_dataset(prop_data)
         enc_cfg = RunConfig(task="property").encoder_config()
@@ -247,6 +304,19 @@ class TestCheckpointContract:
         loaded, _ = model_from_checkpoint(path)
         for g in data.graphs[:5]:
             assert model.predict(g) == loaded.predict(g)
+
+    def test_snapshot_recording_beam_width_loads(self, copy_data, tmp_path):
+        # older versions record beam_width, an option nothing read
+        cfg = quick_cfg("translate", copy_data, tmp_path, max_steps=2)
+        model, _ = train(cfg)
+        ckpt = load_checkpoint(cfg.out_checkpoint)
+        assert "beam_width" not in ckpt.config
+        save_checkpoint(cfg.out_checkpoint, ckpt.params, dict(ckpt.config, beam_width=8))
+        loaded, _ = model_from_checkpoint(cfg.out_checkpoint)
+        dataset = load_dataset(copy_data, vocabs=(model.label_vocab, model.edge_vocab))
+        for srcs, _ in dataset.pairs[:3]:
+            assert [(r.graph, r.score, r.truncated) for r in loaded.generate(srcs, 2, 6)] \
+                == [(r.graph, r.score, r.truncated) for r in model.generate(srcs, 2, 6)]
 
     @pytest.mark.parametrize("task", ["property", "translate"])
     def test_snapshot_recording_zero_edge_feature_dim_loads(self, copy_data, prop_data,
