@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import CapacityError, ContractError
-from .graph import Graph, NO_BOND, TOK_PAD
+from .graph import Graph, NO_BOND, pad_graphs
 from .nn import affine, init_affine, init_embedding, init_layer_norm, positional_encoding
 
 
@@ -143,9 +143,9 @@ def encode_batch(cfg: EncoderConfig, params: dict[str, Tensor], graphs: list[Gra
 
     With n the largest graph's node count, returns (B*n, d) rows: graph b's
     nodes are rows b*n .. b*n + g.n - 1, and the rows after them are padding
-    (TOK_PAD labels, NO_BOND edges). Padding rows and columns are masked out
-    of every attention, so a graph's rows do not depend on the rest of the
-    batch and padding rows receive exactly zero gradient.
+    (pad_graphs). Padding rows and columns are masked out of every attention,
+    so a graph's rows do not depend on the rest of the batch and padding rows
+    receive exactly zero gradient.
 
     Input embedding is the label embedding, plus projected node features when
     configured, plus the sinusoidal positional encoding (per graph) when
@@ -168,11 +168,7 @@ def encode_batch(cfg: EncoderConfig, params: dict[str, Tensor], graphs: list[Gra
                                 f"{cfg.node_feature_dim}, graph has width {width}")
     sizes = np.array([g.n for g in graphs])
     batch, n = len(graphs), int(sizes.max())
-    labels = np.full((batch, n), TOK_PAD, dtype=np.int64)
-    edges = np.full((batch, n, n), NO_BOND, dtype=np.int64)
-    for b, g in enumerate(graphs):
-        labels[b, :g.n] = g.labels
-        edges[b, :g.n, :g.n] = g.edges
+    labels, edges = pad_graphs(graphs)
     x = ad.embedding_gather(params[f"{prefix}.embed"], labels.reshape(-1))
     if cfg.node_feature_dim:
         feats = np.zeros((batch, n, cfg.node_feature_dim))

@@ -239,7 +239,8 @@ def load_dataset(path, vocabs: tuple[NodeLabelVocab, EdgeTypeVocab] | None = Non
 
 
 def split_indices(n: int, seed: int) -> dict[str, list[int]]:
-    """Deterministic 80/10/10 split by a per-line hash of (seed, line index)."""
+    """Deterministic 80/10/10 split by a per-line hash of (seed, line index).
+    Every task trains on its train part, so an empty one is a DataError."""
     split: dict[str, list[int]] = {"train": [], "val": [], "test": []}
     for i in range(n):
         digest = hashlib.sha256(f"{seed}:{i}".encode()).digest()
@@ -250,4 +251,7 @@ def split_indices(n: int, seed: int) -> dict[str, list[int]]:
             split["test"].append(i)
         else:
             split["train"].append(i)
+    if not split["train"]:
+        raise DataError(f"no training records: the split at seed {seed} puts none of the "
+                        f"{n} records in train")
     return split

@@ -21,8 +21,10 @@ the steps sequentially:
 
 The edge matrix feeds the same FiLM conditioner as the encoder: SELF on the
 diagonal, the target graph's types between node positions (teacher forcing),
-VIRTUAL from <G> positions to the nodes they may attend. Training decodes a
-mini-batch of targets in one pass, each layout padded to the longest
+VIRTUAL from <G> positions to the nodes they may attend. _layout is the one
+definition of tokens, edge matrix and mask. Training lays out a mini-batch
+of targets with one call: their labels and edges padded to the largest
+target, and every position after a target's final <G> marked as padding
 (decode_batch).
 
 Generation runs the same equivalence the other way. Node positions never
@@ -53,7 +55,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import CapacityError, ContractError
 from .graph import (Graph, NO_BOND, SELF, VIRTUAL, N_RESERVED_EDGES, N_RESERVED_LABELS,
-                    TOK_EOG, TOK_G, TOK_PAD)
+                    TOK_EOG, TOK_G, TOK_PAD, pad_graphs)
 from .nn import affine, init_affine, init_embedding, init_layer_norm, positional_encoding
 from .attention import (init_conditioner, edge_gamma_beta, multi_head_film_attention,
                         feed_forward, project_keys_values)
@@ -64,9 +66,9 @@ class DecoderConfig:
     """Mirror of the encoder configuration plus the generation-head widths.
 
     pair_width is the reduced per-node width fed pairwise into the edge head.
-    Positional encoding defaults on: it imposes the canonical node order on
-    the output sequence. max_context counts sequence positions (2k+1 for a
-    k-node graph).
+    The decoder always adds the positional encoding: it imposes the canonical
+    node order on the output sequence. max_context counts sequence positions
+    (2k+1 for a k-node graph).
     """
 
     layers: int = 2
@@ -76,7 +78,6 @@ class DecoderConfig:
     cond_hidden: int = 16
     pair_width: int = 32
     fe_hidden: int = 64
-    use_positional_encoding: bool = True
     max_context: int = 129
 
     def __post_init__(self):
@@ -97,12 +98,14 @@ def n_edge_classes(n_edge_types: int) -> int:
     return n_edge_types - N_RESERVED_EDGES + 1
 
 
-def edge_class_of_type(edge_id: int) -> int:
-    if edge_id == NO_BOND:
-        return 0
-    if edge_id < N_RESERVED_EDGES:
-        raise ContractError(f"edge type {edge_id} is reserved and has no prediction class")
-    return edge_id - N_RESERVED_EDGES + 1
+def edge_class_of_type(edge_ids):
+    """The class of an edge type, elementwise over an array of types; the
+    reserved types other than NO_BOND have none."""
+    edge_ids = np.asarray(edge_ids)
+    reserved = edge_ids[(edge_ids != NO_BOND) & (edge_ids < N_RESERVED_EDGES)]
+    if reserved.size:
+        raise ContractError(f"edge type {reserved[0]} is reserved and has no prediction class")
+    return np.where(edge_ids == NO_BOND, 0, edge_ids - N_RESERVED_EDGES + 1)
 
 
 def edge_type_of_class(cls):
@@ -112,26 +115,26 @@ def edge_type_of_class(cls):
 
 @dataclass
 class DecoderBatch:
-    """Teacher-forced layout for one target graph (k nodes, 2k+1 positions).
+    """A k-node target graph and its teacher-forcing targets.
 
-    pair_steps/pair_nodes index the h' and h stacks for every edge decision
-    (step i, earlier node j), ordered by step then node; the first
-    k(k-1)/2 pairs (steps 1..k) carry training targets, the trailing pairs
-    belong to the final <EOG> step and exist for generation only.
+    node_targets holds the label each of the k+1 <G> steps predicts: the
+    target's labels, then <EOG>. pair_steps/pair_nodes index the h' and h
+    stacks for every edge decision (step i, earlier node j), ordered by step
+    then node. The first k(k-1)/2 pairs (steps 1..k) carry the training
+    targets pair_target_classes. The trailing k pairs belong to the final
+    <EOG> step and have no target; they are its edge predictions against
+    every node, which prefix comparisons with a longer target read.
     """
 
-    k: int
-    tokens: np.ndarray
-    edge_matrix: np.ndarray
-    mask: np.ndarray
+    target: Graph
     node_targets: np.ndarray
     pair_steps: np.ndarray
     pair_nodes: np.ndarray
     pair_target_classes: np.ndarray
 
     @property
-    def n_target_pairs(self) -> int:
-        return len(self.pair_target_classes)
+    def k(self) -> int:
+        return self.target.n
 
 
 def _layout(labels: np.ndarray, edges: np.ndarray
@@ -157,40 +160,29 @@ def _layout(labels: np.ndarray, edges: np.ndarray
 
 
 def build_decoder_batch(target: Graph) -> DecoderBatch:
-    """Interleaved tokens, edge matrix, masking matrix, and targets (Fig. 1 layout)."""
-    k = target.n
+    """The target with its node and edge-class targets, in Fig. 1 order."""
     for lab in target.labels:
         if lab < N_RESERVED_LABELS:
             raise ContractError(f"target graph contains reserved label id {lab}")
-    labels = np.array(target.labels, dtype=np.int64).reshape(1, k)
-    tokens, edge_matrix, mask = (a[0] for a in _layout(labels, target.edges[None]))
-    node_targets = np.append(labels, TOK_EOG)
-    steps, nodes, classes = [], [], []
-    for i in range(1, k + 2):
-        for j in range(1, i):
-            steps.append(i - 1)
-            nodes.append(j - 1)
-            if i <= k:
-                classes.append(edge_class_of_type(int(target.edges[i - 1, j - 1])))
+    k = target.n
+    steps, nodes = np.tril_indices(k + 1, -1)
+    scored = k * (k - 1) // 2
     return DecoderBatch(
-        k=k,
-        tokens=tokens,
-        edge_matrix=edge_matrix,
-        mask=mask,
-        node_targets=node_targets,
-        pair_steps=np.asarray(steps, dtype=np.int64),
-        pair_nodes=np.asarray(nodes, dtype=np.int64),
-        pair_target_classes=np.asarray(classes, dtype=np.int64),
+        target=target,
+        node_targets=np.array(target.labels + (TOK_EOG,), dtype=np.int64),
+        pair_steps=steps,
+        pair_nodes=nodes,
+        pair_target_classes=edge_class_of_type(target.edges[steps[:scored], nodes[:scored]]),
     )
 
 
 def init_decoder_params(cfg: DecoderConfig, n_labels: int, n_edge_types: int,
-                        rng: np.random.Generator, prefix: str = "dec") -> dict[str, Tensor]:
+                        rng: np.random.Generator) -> dict[str, Tensor]:
     params: dict[str, Tensor] = {}
-    init_embedding(params, f"{prefix}.embed", rng, n_labels, cfg.width)
-    init_conditioner(params, f"{prefix}.cond", rng, n_edge_types, cfg.cond_hidden, cfg.layers)
+    init_embedding(params, "dec.embed", rng, n_labels, cfg.width)
+    init_conditioner(params, "dec.cond", rng, n_edge_types, cfg.cond_hidden, cfg.layers)
     for i in range(cfg.layers):
-        base = f"{prefix}.l{i}"
+        base = f"dec.l{i}"
         for proj in ("q", "k", "v", "o"):
             init_affine(params, f"{base}.self.{proj}", rng, cfg.width, cfg.width)
             init_affine(params, f"{base}.cross.{proj}", rng, cfg.width, cfg.width)
@@ -198,26 +190,26 @@ def init_decoder_params(cfg: DecoderConfig, n_labels: int, n_edge_types: int,
             init_layer_norm(params, f"{base}.{ln}", cfg.width)
         init_affine(params, f"{base}.ff1", rng, cfg.width, cfg.ff_width)
         init_affine(params, f"{base}.ff2", rng, cfg.ff_width, cfg.width)
-    init_affine(params, f"{prefix}.fl", rng, cfg.width, n_labels)
-    init_affine(params, f"{prefix}.fp", rng, cfg.width, cfg.pair_width)
-    init_affine(params, f"{prefix}.fe1", rng, 2 * cfg.pair_width, cfg.fe_hidden)
-    init_affine(params, f"{prefix}.fe2", rng, cfg.fe_hidden, n_edge_classes(n_edge_types))
+    init_affine(params, "dec.fl", rng, cfg.width, n_labels)
+    init_affine(params, "dec.fp", rng, cfg.width, cfg.pair_width)
+    init_affine(params, "dec.fe1", rng, 2 * cfg.pair_width, cfg.fe_hidden)
+    init_affine(params, "dec.fe2", rng, cfg.fe_hidden, n_edge_classes(n_edge_types))
     return params
 
 
-def _cross_keys_values(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor,
-                       prefix: str) -> list[tuple[Tensor, Tensor]]:
+def _cross_keys_values(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor
+                       ) -> list[tuple[Tensor, Tensor]]:
     """Each layer's cross-attention keys and values: the encoder output is
     fixed for a whole pass or generation request, so it is projected once."""
     if encoder_h.shape[1] != cfg.width:
         raise ContractError(
             f"encoder width {encoder_h.shape[1]} != decoder width {cfg.width}")
-    return [project_keys_values(params, f"{prefix}.l{i}.cross", encoder_h)
+    return [project_keys_values(params, f"dec.l{i}.cross", encoder_h)
             for i in range(cfg.layers)]
 
 
 def _layers(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[Tensor, Tensor]],
-            x: Tensor, edge_matrix: np.ndarray, mask: np.ndarray, prefix: str,
+            x: Tensor, edge_matrix: np.ndarray, mask: np.ndarray,
             cached: list[np.ndarray] | None = None, cross_mask: np.ndarray | None = None,
             cross_rows: tuple[np.ndarray, np.ndarray] | None = None
             ) -> tuple[Tensor, list[np.ndarray]]:
@@ -240,10 +232,10 @@ def _layers(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[
     of row indices: the cross-attention queries are x[gather], and its
     output rows are put back in x's order by [scatter].
     """
-    gammas, betas = edge_gamma_beta(params, f"{prefix}.cond", edge_matrix, cfg.layers)
+    gammas, betas = edge_gamma_beta(params, "dec.cond", edge_matrix, cfg.layers)
     projected = []
     for i in range(cfg.layers):
-        base = f"{prefix}.l{i}"
+        base = f"dec.l{i}"
         kv = None
         if cached is not None:
             new = [t.data for t in project_keys_values(params, f"{base}.self", x)]
@@ -265,78 +257,69 @@ def _layers(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[
     return x, projected
 
 
-def _edge_logits(params: dict[str, Tensor], prefix: str,
-                 p_steps: Tensor, p_nodes: Tensor) -> Tensor:
+def _edge_logits(params: dict[str, Tensor], p_steps: Tensor, p_nodes: Tensor) -> Tensor:
     """Edge head over aligned rows of step and node dec.fp projections."""
-    hidden = ad.tanh(affine(params, f"{prefix}.fe1", ad.concat([p_steps, p_nodes], axis=1)))
-    return affine(params, f"{prefix}.fe2", hidden)
+    hidden = ad.tanh(affine(params, "dec.fe1", ad.concat([p_steps, p_nodes], axis=1)))
+    return affine(params, "dec.fe2", hidden)
 
 
 def decode_batch(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor,
-                 encoder_sizes: list[int], batches: list[DecoderBatch], prefix: str = "dec",
+                 encoder_sizes: list[int], batches: list[DecoderBatch],
                  input_offsets: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """One teacher-forced pass over B targets at once; returns (node_logits,
     edge_logits), graph by graph in batch order.
 
     encoder_h holds B graphs of equal padded row count (encode_batch's
     output) and encoder_sizes[b] counts graph b's real rows; cross-attention
-    sees only those. Each layout is padded to the longest, L positions, with
-    TOK_PAD tokens, NO_BOND edges and masked rows and columns, so a graph's
-    logits do not depend on the rest of the batch. Per graph, node_logits has
-    one row per <G> step (k+1 rows) and edge_logits one row per pair, aligned
-    with its pair_steps/pair_nodes. input_offsets, when given, is added to the
-    embedded (B*L, width) input rows (a diagnostic hook for position-targeted
-    perturbation tests).
+    sees only those. The targets are padded to the largest (pad_graphs) and
+    laid out together, L positions each. Every position after a target's
+    final <G> is padding: a TOK_PAD token whose row and column are masked, so
+    a graph's logits do not depend on the rest of the batch. Per graph,
+    node_logits has one row per <G> step (k+1 rows) and edge_logits one row
+    per pair, aligned with its pair_steps/pair_nodes. input_offsets, when
+    given, is added to the embedded (B*L, width) input rows (a diagnostic
+    hook for position-targeted perturbation tests).
     """
     n_graphs = len(batches)
-    lengths = np.array([len(b.tokens) for b in batches])
-    length = int(lengths.max())
+    sizes = np.array([b.k for b in batches])
+    length = 2 * int(sizes.max()) + 1
     if length > cfg.max_context:
         raise CapacityError(f"decoder sequence length {length} exceeds {cfg.max_context}")
     if len(encoder_sizes) != n_graphs or encoder_h.shape[0] % n_graphs:
         raise ContractError(f"{len(encoder_sizes)} encoded graphs in {encoder_h.shape[0]} rows "
                             f"for {n_graphs} targets")
-    tokens = np.full((n_graphs, length), TOK_PAD, dtype=np.int64)
-    edge_matrix = np.full((n_graphs, length, length), NO_BOND, dtype=np.int64)
-    mask = np.zeros((n_graphs, length, length), dtype=bool)
-    for b, (batch, ell) in enumerate(zip(batches, lengths)):
-        tokens[b, :ell] = batch.tokens
-        edge_matrix[b, :ell, :ell] = batch.edge_matrix
-        mask[b, :ell, :ell] = batch.mask
-    x = ad.embedding_gather(params[f"{prefix}.embed"], tokens.reshape(-1))
-    if cfg.use_positional_encoding:
-        x = ad.add(x, Tensor(np.tile(positional_encoding(length, cfg.width), (n_graphs, 1))))
+    tokens, edge_matrix, mask = _layout(*pad_graphs([b.target for b in batches]))
+    padding = np.arange(length) > 2 * sizes[:, None]
+    tokens[padding] = TOK_PAD
+    mask[padding] = False     # padding columns are already later than every real row
+    x = ad.embedding_gather(params["dec.embed"], tokens.reshape(-1))
+    x = ad.add(x, Tensor(np.tile(positional_encoding(length, cfg.width), (n_graphs, 1))))
     if input_offsets is not None:
         x = ad.add(x, Tensor(input_offsets))
-    enc_rows = encoder_h.shape[0] // n_graphs
-    cross_mask = np.broadcast_to((np.arange(enc_rows) < np.array(encoder_sizes)[:, None])[:, None],
-                                 (n_graphs, length, enc_rows))
-    x, _ = _layers(cfg, params, _cross_keys_values(cfg, params, encoder_h, prefix), x,
-                   edge_matrix, mask, prefix, cross_mask=cross_mask)
+    # each target is a request of one hypothesis, as the search lays them out
+    cross_mask, _ = _cross_layout(list(range(n_graphs)), n_graphs, encoder_sizes,
+                                  encoder_h.shape[0] // n_graphs, length)
+    x, _ = _layers(cfg, params, _cross_keys_values(cfg, params, encoder_h), x,
+                   edge_matrix, mask, cross_mask=cross_mask)
 
-    starts = np.arange(n_graphs) * length
-    gen_rows = np.concatenate([s + np.arange(0, ell, 2) for s, ell in zip(starts, lengths)])
-    node_logits = affine(params, f"{prefix}.fl", ad.embedding_gather(x, gen_rows))
-    fe_out_width = params[f"{prefix}.fe2.w"].shape[1]
-    if not any(len(b.pair_steps) for b in batches):
-        return node_logits, Tensor(np.zeros((0, fe_out_width)))
+    gen_rows = np.flatnonzero(tokens == TOK_G)      # the real <G> positions, in order
+    node_logits = affine(params, "dec.fl", ad.embedding_gather(x, gen_rows))
     # h'_i sits at position 2i, h_j at 2j+1 (1-based node j at 2j-1)
-    p_rows = affine(params, f"{prefix}.fp", x)
+    p_rows = affine(params, "dec.fp", x)
+    starts = np.arange(n_graphs) * length
     step_rows = np.concatenate([s + 2 * b.pair_steps for s, b in zip(starts, batches)])
     node_rows = np.concatenate([s + 2 * b.pair_nodes + 1 for s, b in zip(starts, batches)])
-    edge_logits = _edge_logits(params, prefix, ad.embedding_gather(p_rows, step_rows),
+    edge_logits = _edge_logits(params, ad.embedding_gather(p_rows, step_rows),
                                ad.embedding_gather(p_rows, node_rows))
     return node_logits, edge_logits
 
 
 def decode_forward(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor,
-                   batch: DecoderBatch, prefix: str = "dec",
-                   input_offsets: np.ndarray | None = None
+                   batch: DecoderBatch, input_offsets: np.ndarray | None = None
                    ) -> tuple[Tensor, Tensor]:
     """decode_batch of one target: (node_logits, edge_logits), k+1 node rows
     and one edge row per batch pair, aligned with batch.pair_steps/pair_nodes."""
-    return decode_batch(cfg, params, encoder_h, [encoder_h.shape[0]], [batch], prefix,
-                        input_offsets)
+    return decode_batch(cfg, params, encoder_h, [encoder_h.shape[0]], [batch], input_offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +403,7 @@ def _cross_layout(starts: list[int], n_hyp: int, key_sizes: list[int], n_keys: i
 
 
 def _step(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[Tensor, Tensor]],
-          labels: np.ndarray, edges: np.ndarray, cache: list[np.ndarray], prefix: str,
+          labels: np.ndarray, edges: np.ndarray, cache: list[np.ndarray],
           starts: list[int], key_sizes: list[int]
           ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Decode the pending rows of h live hypotheses of m nodes in one pass.
@@ -443,20 +426,18 @@ def _step(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[Te
     n_pos = len(pos)
     tokens, edge_matrix, mask = _layout(labels, edges)
     grid = (slice(None), pos[:, None], keys)
-    x = ad.embedding_gather(params[f"{prefix}.embed"], tokens[:, pos].reshape(-1))
-    if cfg.use_positional_encoding:
-        x = ad.add(x, Tensor(np.tile(positional_encoding(2 * m + 1, cfg.width)[pos],
-                                     (n_hyp, 1))))
+    x = ad.embedding_gather(params["dec.embed"], tokens[:, pos].reshape(-1))
+    x = ad.add(x, Tensor(np.tile(positional_encoding(2 * m + 1, cfg.width)[pos], (n_hyp, 1))))
     cross_mask, cross_rows = _cross_layout(starts, n_hyp, key_sizes,
                                            cross_kv[0][0].shape[0] // len(key_sizes), n_pos)
-    x, projected = _layers(cfg, params, cross_kv, x, edge_matrix[grid], mask[grid], prefix,
+    x, projected = _layers(cfg, params, cross_kv, x, edge_matrix[grid], mask[grid],
                            cache[:-1], cross_mask, cross_rows)
-    label_lp = ad.log_softmax_rows(affine(params, f"{prefix}.fl", x[n_pos - 1::n_pos])).data
+    label_lp = ad.log_softmax_rows(affine(params, "dec.fl", x[n_pos - 1::n_pos])).data
     if m == 0:
         return label_lp, np.zeros((n_hyp, 0, 0)), cache
-    p_rows = affine(params, f"{prefix}.fp", x).data.reshape(n_hyp, n_pos, -1)
+    p_rows = affine(params, "dec.fp", x).data.reshape(n_hyp, n_pos, -1)
     p_nodes = np.concatenate([cache[-1], p_rows[:, :1]], axis=1)
-    edge_logits = _edge_logits(params, prefix, Tensor(np.repeat(p_rows[:, 1], m, axis=0)),
+    edge_logits = _edge_logits(params, Tensor(np.repeat(p_rows[:, 1], m, axis=0)),
                                Tensor(p_nodes.reshape(n_hyp * m, -1)))
     edge_lp = ad.log_softmax_rows(edge_logits).data.reshape(n_hyp, m, -1)
     # node m's keys and values, per layer
@@ -486,7 +467,7 @@ def _edge_config_beam(edge_lp: np.ndarray, width: int
 
 
 def generate_beams(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor,
-                   encoder_sizes: list[int], width: int, max_nodes: int, prefix: str = "dec"
+                   encoder_sizes: list[int], width: int, max_nodes: int
                    ) -> list[list[GeneratedGraph]]:
     """R independent beam searches over joint (label, edge-classes) steps,
     run as one live set; width 1 is greedy. Returns each request's graphs,
@@ -533,7 +514,7 @@ def generate_beams(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Ten
     n_keys = encoder_h.shape[0] // n_req
     if not all(1 <= size <= n_keys for size in encoder_sizes):
         raise ContractError(f"encoder sizes {encoder_sizes} outside 1..{n_keys}")
-    allowed = _allowed_labels(params[f"{prefix}.embed"].shape[0])
+    allowed = _allowed_labels(params["dec.embed"].shape[0])
     choices = np.flatnonzero(allowed)           # <EOG> first, then the real labels
     # the requests with live hypotheses, and the first hypothesis of each
     live, starts = list(range(n_req)), list(range(n_req))
@@ -544,10 +525,10 @@ def generate_beams(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Ten
              + [np.zeros((n_req, 0, cfg.pair_width))])
     finished: list[list[GeneratedGraph]] = [[] for _ in range(n_req)]
     with ad.no_grad():
-        all_kv = cross_kv = _cross_keys_values(cfg, params, encoder_h, prefix)
+        all_kv = cross_kv = _cross_keys_values(cfg, params, encoder_h)
         while True:
             label_lp, edge_lp, cache = _step(cfg, params, cross_kv, labels, edges, cache,
-                                             prefix, starts, [encoder_sizes[r] for r in live])
+                                             starts, [encoder_sizes[r] for r in live])
             full = labels.shape[1] == max_nodes
             ids = choices[:1] if full else choices
             configs = [] if full else _edge_config_beam(edge_lp, width)
@@ -595,7 +576,6 @@ def generate_beams(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Ten
 
 
 def generate_beam(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor,
-                  width: int, max_nodes: int, prefix: str = "dec") -> list[GeneratedGraph]:
+                  width: int, max_nodes: int) -> list[GeneratedGraph]:
     """Beam search for one request (generate_beams of one); width 1 is greedy."""
-    return generate_beams(cfg, params, encoder_h, [encoder_h.shape[0]], width, max_nodes,
-                          prefix)[0]
+    return generate_beams(cfg, params, encoder_h, [encoder_h.shape[0]], width, max_nodes)[0]

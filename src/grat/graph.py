@@ -183,19 +183,34 @@ def graph_from_edge_list(labels: Sequence[int], edge_list: Iterable[tuple[int, i
     return Graph(labels=tuple(labels), edges=edges, **kwargs)
 
 
+# the rules on reserved ids that validate and the JSON-lines parser share: the
+# labels no node may carry, and the edge types that may not join two distinct
+# nodes, with why
+_FORBIDDEN_LABELS = frozenset(range(N_RESERVED_LABELS)) - frozenset(PREPENDABLE_IDS)
+_EDGE_RULES = {VIRTUAL: "VIRTUAL between ordinary nodes", SELF: "SELF off the diagonal",
+               MASK_EDGE: "MASK_EDGE in a fully-specified graph", NO_EDGE: "NO_EDGE, unused"}
+
+
+def _edge_violation(t: int, label_i: int, label_j: int) -> str | None:
+    """Why edge type t may not join nodes labelled label_i and label_j, or
+    None; VIRTUAL may when either is a prependable structural node."""
+    if t == VIRTUAL and (label_i in PREPENDABLE_IDS or label_j in PREPENDABLE_IDS):
+        return None
+    return _EDGE_RULES.get(t)
+
+
 def validate(g: Graph, label_vocab: NodeLabelVocab | None = None,
              edge_vocab: EdgeTypeVocab | None = None) -> list[str]:
     """Return all invariant violations (empty list means the graph is valid).
 
     Reserved node labels are allowed only for prependable structural tokens
     (<CLS> and the graph delimiters); VIRTUAL edges only when incident to such
-    a node; MASK_EDGE never (masked samples are not fully-specified graphs).
+    a node; SELF only on the diagonal; MASK_EDGE and NO_EDGE never.
     """
     violations = []
     n = g.n
-    special = [i for i, lab in enumerate(g.labels) if lab in PREPENDABLE_IDS]
     for i, lab in enumerate(g.labels):
-        if lab < N_RESERVED_LABELS and lab not in PREPENDABLE_IDS:
+        if lab in _FORBIDDEN_LABELS:
             violations.append(f"node {i}: reserved label id {lab} not allowed in a graph")
         if label_vocab is not None and not 0 <= lab < len(label_vocab):
             violations.append(f"node {i}: label id {lab} out of vocabulary range")
@@ -207,12 +222,10 @@ def validate(g: Graph, label_vocab: NodeLabelVocab | None = None,
     if n and not np.all(diag == SELF):
         i = int(np.argmax(diag != SELF))
         violations.append(f"diagonal entry ({i}, {i}) is {int(diag[i])}, expected SELF")
-    special_set = set(special)
-    for i, j in zip(*np.nonzero(np.triu(g.edges == VIRTUAL, k=1))):
-        if int(i) not in special_set and int(j) not in special_set:
-            violations.append(f"VIRTUAL edge at ({int(i)}, {int(j)}) between ordinary nodes")
-    for i, j in zip(*np.nonzero(np.triu(g.edges == MASK_EDGE, k=1))):
-        violations.append(f"MASK_EDGE at ({int(i)}, {int(j)}) in a fully-specified graph")
+    for i, j in np.argwhere(np.triu(g.edges != NO_BOND, k=1)).tolist():
+        why = _edge_violation(int(g.edges[i, j]), g.labels[i], g.labels[j])
+        if why:
+            violations.append(f"edge ({i}, {j}): reserved type {why}")
     if edge_vocab is not None:
         bad = (g.edges < 0) | (g.edges >= len(edge_vocab))
         for i, j in zip(*np.nonzero(np.triu(bad, k=1))):
@@ -253,6 +266,18 @@ def prepend_token(g: Graph, token: int, link: int) -> Graph:
         node_features = np.vstack([np.zeros((1, g.node_features.shape[1])), g.node_features])
     return Graph(labels=(token,) + g.labels, edges=edges, node_features=node_features,
                  properties=g.properties)
+
+
+def pad_graphs(graphs: Sequence[Graph]) -> tuple[np.ndarray, np.ndarray]:
+    """Labels (B, n) and edge matrices (B, n, n) of B graphs padded to the
+    largest, n nodes: TOK_PAD labels and NO_BOND edges after a graph's own."""
+    n = max(g.n for g in graphs)
+    labels = np.full((len(graphs), n), TOK_PAD, dtype=np.int64)
+    edges = np.full((len(graphs), n, n), NO_BOND, dtype=np.int64)
+    for b, g in enumerate(graphs):
+        labels[b, :g.n] = g.labels
+        edges[b, :g.n, :g.n] = g.edges
+    return labels, edges
 
 
 def concat_graphs(parts: Sequence[tuple[int, Graph]]) -> Graph:
@@ -345,10 +370,12 @@ def graph_from_record(record, label_vocab: NodeLabelVocab, edge_vocab: EdgeTypeV
     if not isinstance(nodes, list) or not all(isinstance(x, str) for x in nodes):
         raise DataError("'nodes' must be a list of label strings", line=lineno)
     labels = []
-    for name in nodes:
+    for i, name in enumerate(nodes):
         if name not in label_vocab:
             raise DataError(f"unknown node label {name!r}", line=lineno)
         labels.append(label_vocab.id(name))
+        if labels[-1] in _FORBIDDEN_LABELS:
+            raise DataError(f"node {i}: reserved label {name} not allowed in a graph", line=lineno)
     n = len(labels)
     edges = np.full((n, n), NO_BOND, dtype=np.int64)
     np.fill_diagonal(edges, SELF)
@@ -368,7 +395,11 @@ def graph_from_record(record, label_vocab: NodeLabelVocab, edge_vocab: EdgeTypeV
         seen_pairs.add((i, j))
         if name not in edge_vocab:
             raise DataError(f"unknown edge name {name!r}", line=lineno)
-        edges[i, j] = edges[j, i] = edge_vocab.id(name)
+        edge_type = edge_vocab.id(name)
+        why = _edge_violation(edge_type, labels[i], labels[j])
+        if why:
+            raise DataError(f"edge ({i}, {j}): reserved type {why}", line=lineno)
+        edges[i, j] = edges[j, i] = edge_type
     node_features = None
     if "feat" in record:
         feat = record["feat"]

@@ -145,14 +145,14 @@ def mask_graph(g: Graph, rate: float, rng: np.random.Generator) -> MaskedGraphSa
 
 
 def init_recovery_heads(cfg: EncoderConfig, n_labels: int, n_edge_classes: int,
-                        rng: np.random.Generator, pair_width: int = 32,
-                        fe_hidden: int = 64) -> dict[str, Tensor]:
-    """Label head plus a pairwise edge head of the generation-head shape."""
+                        rng: np.random.Generator) -> dict[str, Tensor]:
+    """Label head plus a pairwise edge head, of fixed widths at every preset."""
+    pair_width, hidden = 32, 64
     params: dict[str, Tensor] = {}
     init_affine(params, "rec.fl", rng, cfg.width, n_labels)
     init_affine(params, "rec.fp", rng, cfg.width, pair_width)
-    init_affine(params, "rec.fe1", rng, 2 * pair_width, fe_hidden)
-    init_affine(params, "rec.fe2", rng, fe_hidden, n_edge_classes)
+    init_affine(params, "rec.fe1", rng, 2 * pair_width, hidden)
+    init_affine(params, "rec.fe2", rng, hidden, n_edge_classes)
     return params
 
 

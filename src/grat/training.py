@@ -208,17 +208,15 @@ class TranslationModel:
                                                 [g.n for g in enc_inputs], batches)
         share = 1.0 / len(batches)
         node_targets = np.concatenate([b.node_targets for b in batches])
-        node_weights = np.concatenate([np.full(len(b.node_targets), share / len(b.node_targets))
-                                       for b in batches])
+        node_weights = np.concatenate([np.full(b.k + 1, share / (b.k + 1)) for b in batches])
         loss = cross_entropy_mean(node_logits, node_targets, node_weights)
-        if any(b.n_target_pairs for b in batches):
-            # the trailing pairs of each final <EOG> step have no target: weight 0
+        if any(len(b.pair_target_classes) for b in batches):
+            # the k trailing pairs of each final <EOG> step have no target: weight 0
             edge_targets, edge_weights = [], []
             for b in batches:
-                extra = len(b.pair_steps) - b.n_target_pairs
-                edge_targets += [b.pair_target_classes, np.zeros(extra, dtype=np.int64)]
-                edge_weights += [np.full(b.n_target_pairs, share / max(b.n_target_pairs, 1)),
-                                 np.zeros(extra)]
+                pairs = len(b.pair_target_classes)
+                edge_targets += [b.pair_target_classes, np.zeros(b.k, dtype=np.int64)]
+                edge_weights += [np.full(pairs, share / max(pairs, 1)), np.zeros(b.k)]
             loss = ad.add(loss, cross_entropy_mean(edge_logits, np.concatenate(edge_targets),
                                                    np.concatenate(edge_weights)))
         return loss
@@ -591,7 +589,8 @@ class _ShapeOnly:
 
 # fields older versions record and this one removed, each with the one value
 # it loads at: the value under which the old model behaves as this version does
-_REMOVED_FIELDS = {"encoder": {"edge_feature_dim": 0}, "decoder": {"fe_activation": "tanh"}}
+_REMOVED_FIELDS = {"encoder": {"edge_feature_dim": 0},
+                   "decoder": {"fe_activation": "tanh", "use_positional_encoding": True}}
 
 
 def _current_fields(cfg: dict, section: str) -> dict:

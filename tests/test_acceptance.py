@@ -251,7 +251,7 @@ def test_criterion_4_causality_isolation():
         else:
             # nudge one earlier <G> input; only that step's own logits may move
             step = int(rng.integers(1, k + 1))
-            offsets = np.zeros((len(batch.tokens), dec_cfg.width))
+            offsets = np.zeros((2 * batch.k + 1, dec_cfg.width))
             offsets[2 * (step - 1)] = rng.normal(size=dec_cfg.width)
             with ad.no_grad():
                 out_n, out_e = decode_forward(dec_cfg, params, memory, batch,

@@ -3,6 +3,10 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ import pytest
 from grat import cli
 from grat import training
 from grat.checkpoint import load_checkpoint, save_checkpoint
-from grat.data import gen_property_dataset, load_dataset, write_jsonl
+from grat.data import gen_copy_dataset, gen_property_dataset, load_dataset, write_jsonl
 from grat.graph import graph_to_record
 from grat.training import evaluate_property, load_config, model_from_checkpoint, train
 
@@ -124,8 +128,11 @@ class TestTrainEval:
                                 config),
         lambda params, config: (params, dict(config, decoder=dict(config["decoder"],
                                                                   fe_activation="relu"))),
+        lambda params, config: (params, dict(config, decoder=dict(
+            config["decoder"], use_positional_encoding=False))),
     ], ids=["missing", "wrong-shape", "extra", "config-list", "labels-int",
-            "labels-reserved", "edge-feature-width", "edge-feature-weights", "relu-edge-head"])
+            "labels-reserved", "edge-feature-width", "edge-feature-weights", "relu-edge-head",
+            "decoder-without-positions"])
     def test_generate_rejects_checkpoint_unlike_its_config(self, copy_setup, capsys,
                                                            corrupt):
         _, data, ckpt = copy_setup
@@ -181,6 +188,55 @@ class TestTrainEval:
         assert run(["eval", "--ckpt", ckpt, "--data", data]) == 1
         assert capsys.readouterr().err == \
             "grat: eval supports property and translation checkpoints\n"
+
+
+class TestUntrainableData:
+    """Data a run cannot train on: exit 2, one grat: line, no checkpoint."""
+
+    def assert_refused(self, tmp_path, capsys, task, records, *fragments, seed=0):
+        data, config, ckpt = (tmp_path / "d.jsonl", tmp_path / "c.json",
+                              tmp_path / "m.ckpt")
+        write_jsonl(data, records)
+        config.write_text(json.dumps({"task": task, "data": str(data), "seed": seed,
+                                      "max_steps": 2, "out_checkpoint": str(ckpt)}))
+        capsys.readouterr()
+        assert run(["pretrain" if task == "pretrain" else "train", "--config", config]) == 2
+        assert_one_error_line_containing(capsys, *fragments)
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("task, n_records, seed", [
+        ("translate", 1, 4),     # the record lands in test
+        ("property", 2, 45),     # both land in val
+        ("pretrain", 3, 154),    # none lands in train
+    ])
+    def test_empty_training_split(self, tmp_path, capsys, task, n_records, seed):
+        records = (gen_copy_dataset(n_records, 4, 3, 2, 0) if task == "translate"
+                   else gen_property_dataset(n_records, seed=0, max_nodes=4))
+        self.assert_refused(tmp_path, capsys, task, records, f"seed {seed}",
+                            f"{n_records} records", seed=seed)
+
+    @pytest.mark.parametrize("task, bad", [
+        ("translate", {"src": [{"nodes": ["A"], "edges": []}],
+                       "tgt": {"nodes": ["A", "<EOG>"], "edges": []}}),
+        ("translate", {"src": [{"nodes": ["A"], "edges": []}],
+                       "tgt": {"nodes": ["A", "B"], "edges": [[0, 1, "<mask-edge>"]]}}),
+        ("translate", {"src": [{"nodes": ["A", "<MASK>"], "edges": [[0, 1, "<virtual>"]]}],
+                       "tgt": {"nodes": ["A"], "edges": []}}),
+        ("property", {"nodes": ["A", "<PAD>"], "edges": [[0, 1, "<self>"]],
+                      "props": {"y": 1.0}}),
+    ], ids=["eog-in-target", "mask-edge-in-target", "mask-and-virtual-in-source",
+            "pad-and-self-in-property-graph"])
+    def test_reserved_tokens_in_data(self, tmp_path, capsys, task, bad):
+        records = (gen_copy_dataset(8, 4, 3, 2, 0) if task == "translate"
+                   else gen_property_dataset(8, seed=0, max_nodes=4))
+        records[2] = bad
+        self.assert_refused(tmp_path, capsys, task, records, "reserved", "line 3")
+
+
+def assert_one_error_line_containing(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("grat: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert all(fragment in err for fragment in fragments), err
 
 
 def train_argv(tmp_path, data, **paths):
@@ -368,3 +424,16 @@ class TestNodeFeatures:
             err = capsys.readouterr().err
             assert err == (f"grat: encoder expects node features of width {widths[0]}, "
                            f"graph has width {widths[1]}\n")
+
+
+def test_cli_imports_only_grat_numpy_and_the_standard_library():
+    # modules loaded before the import do not count: site start-up may load
+    # third-party hooks such as _distutils_hack
+    code = ("import sys; before = set(sys.modules); import grat.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout.split()
+    allowed = {"grat", "numpy"} | sys.stdlib_module_names
+    assert "grat.cli" in loaded
+    assert [name for name in loaded if name.partition(".")[0] not in allowed] == []

@@ -47,14 +47,20 @@ def random_memory(rng, n=5, width=CFG.width):
     return Tensor(rng.normal(size=(n, width)))
 
 
-def assert_mask_layout(batch, target):
+def layout(target):
+    """_layout of one target: its tokens, edge matrix and mask."""
+    labels = np.array(target.labels, dtype=np.int64).reshape(1, target.n)
+    return tuple(a[0] for a in dec._layout(labels, target.edges[None]))
+
+
+def assert_mask_layout(mask, target):
     """Fig. 1 masking rules, cell by cell: every position sees itself; no
     position sees the future or another <G> column; a <G> query sees every
     earlier node; a node query sees an earlier node unless their target
     edge is NO_BOND."""
     length = 2 * target.n + 1
-    assert batch.mask.shape == (length, length)
-    assert batch.mask.diagonal().all()
+    assert mask.shape == (length, length)
+    assert mask.diagonal().all()
     for q in range(length):
         for c in range(length):
             if c == q:
@@ -65,7 +71,7 @@ def assert_mask_layout(batch, target):
                 expect = True
             else:
                 expect = target.edges[q // 2, c // 2] != NO_BOND
-            assert batch.mask[q, c] == expect, (q, c)
+            assert mask[q, c] == expect, (q, c)
 
 
 class TestEdgeClasses:
@@ -86,10 +92,11 @@ class TestEdgeClasses:
 class TestBatchLayout:
     def test_empty_target(self):
         batch = build_decoder_batch(gm.empty_graph())
-        assert list(batch.tokens) == [TOK_G]
+        tokens, _, mask = layout(gm.empty_graph())
+        assert list(tokens) == [TOK_G]
         assert list(batch.node_targets) == [TOK_EOG]
-        assert batch.mask.shape == (1, 1) and batch.mask[0, 0]
-        assert len(batch.pair_steps) == 0 and batch.n_target_pairs == 0
+        assert mask.shape == (1, 1) and mask[0, 0]
+        assert len(batch.pair_steps) == 0 and len(batch.pair_target_classes) == 0
 
     def test_four_node_matrix_patterns(self):
         # 4-node chain a-b-c-d plus the d-a closing edge type
@@ -97,26 +104,31 @@ class TestBatchLayout:
             [FIRST_LABEL, FIRST_LABEL + 1, FIRST_LABEL + 2, FIRST_LABEL],
             [(0, 1, FIRST_EDGE), (1, 2, FIRST_EDGE + 1), (2, 3, FIRST_EDGE), (0, 3, FIRST_EDGE)])
         batch = build_decoder_batch(target)
+        tokens, edge_matrix, mask = layout(target)
         L = 9
-        assert batch.tokens.shape == (L,)
+        assert tokens.shape == (L,)
         g_pos = list(range(0, L, 2))
         n_pos = list(range(1, L, 2))
-        assert all(batch.tokens[p] == TOK_G for p in g_pos)
+        assert all(tokens[p] == TOK_G for p in g_pos)
         # edge matrix: SELF diagonal, target types between node positions,
         # VIRTUAL from <G> positions to node positions
-        assert all(batch.edge_matrix[p, p] == SELF for p in range(L))
+        assert all(edge_matrix[p, p] == SELF for p in range(L))
         for a in range(4):
             for b in range(4):
                 if a != b:
-                    assert batch.edge_matrix[n_pos[a], n_pos[b]] == target.edges[a, b]
+                    assert edge_matrix[n_pos[a], n_pos[b]] == target.edges[a, b]
         for gp in g_pos:
             for np_ in n_pos:
                 if np_ != gp:
-                    assert batch.edge_matrix[gp, np_] == VIRTUAL
-        assert_mask_layout(batch, target)
-        # targets: labels then <EOG>; edge classes follow the target matrix
+                    assert edge_matrix[gp, np_] == VIRTUAL
+        assert_mask_layout(mask, target)
+        # targets: labels then <EOG>; one pair per (step, earlier node), by
+        # step then node, the final <EOG> step's included; edge classes
+        # follow the target matrix
         assert list(batch.node_targets) == list(target.labels) + [TOK_EOG]
-        assert batch.n_target_pairs == 6
+        assert list(zip(batch.pair_steps, batch.pair_nodes)) == [
+            (i, j) for i in range(1, 5) for j in range(i)]
+        assert len(batch.pair_target_classes) == 6
         expect = [dec.edge_class_of_type(int(target.edges[i, j]))
                   for i in range(1, 4) for j in range(i)]
         assert list(batch.pair_target_classes) == expect
@@ -128,16 +140,16 @@ class TestBatchLayout:
             for _ in range(3):
                 target = random_target(rng, k=k)
                 no_bond_pairs += int((target.edges == NO_BOND).sum()) // 2
-                assert_mask_layout(build_decoder_batch(target), target)
+                assert_mask_layout(layout(target)[2], target)
         assert no_bond_pairs > 0
 
     def test_g_row_unmasked_count_is_step_index(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             target = random_target(rng)
-            batch = build_decoder_batch(target)
+            mask = layout(target)[2]
             for i in range(1, target.n + 2):
-                row = batch.mask[2 * (i - 1)]
+                row = mask[2 * (i - 1)]
                 assert row.sum() == i
 
     def test_step_i_emits_i_minus_1_edge_decisions(self):
@@ -146,7 +158,7 @@ class TestBatchLayout:
         batch = build_decoder_batch(target)
         for i in range(1, 7):
             assert int((batch.pair_steps == i - 1).sum()) == i - 1
-        assert batch.n_target_pairs == 5 * 4 // 2
+        assert len(batch.pair_target_classes) == 5 * 4 // 2
 
     def test_reserved_label_rejected(self):
         bad = Graph(labels=(TOK_G,), edges=np.array([[SELF]]))
@@ -224,7 +236,7 @@ class TestDecodeForward:
         batch = build_decoder_batch(target)
         base_n, base_e = decode_forward(CFG, params, memory, batch)
         for step in range(1, 5):
-            offsets = np.zeros((len(batch.tokens), CFG.width))
+            offsets = np.zeros((2 * batch.k + 1, CFG.width))
             offsets[2 * (step - 1)] = rng.normal(size=CFG.width)
             out_n, out_e = decode_forward(CFG, params, memory, batch,
                                           input_offsets=offsets)
@@ -245,7 +257,7 @@ def teacher_forced_score(cfg, params, memory, target) -> float:
     total = 0.0
     for row, t in zip(node_lp, batch.node_targets):
         total += row[t]
-    for row, c in zip(edge_lp[:batch.n_target_pairs], batch.pair_target_classes):
+    for row, c in zip(edge_lp[:len(batch.pair_target_classes)], batch.pair_target_classes):
         total += row[c]
     return total
 
@@ -352,10 +364,10 @@ class TestGeneration:
                 edges = np.zeros((n, 0, 0), dtype=np.int64)
                 cache = ([np.zeros((n, 0, CFG.width))] * (2 * CFG.layers)
                          + [np.zeros((n, 0, CFG.pair_width))])
-                cross_kv = dec._cross_keys_values(CFG, params, memory, "dec")
+                cross_kv = dec._cross_keys_values(CFG, params, memory)
                 for i in range(k + 1):
                     label_lp, edge_lp, cache = dec._step(CFG, params, cross_kv, labels, edges,
-                                                         cache, "dec", [0], [memory.shape[0]])
+                                                         cache, [0], [memory.shape[0]])
                     assert edge_lp.shape[:2] == (len(targets), i)
                     for h, (batch, node_ref, edge_ref) in enumerate(full):
                         worst = max(worst, np.max(np.abs(label_lp[h] - node_ref[i])))

@@ -88,6 +88,40 @@ class TestValidate:
         g = Graph(labels=(gm.TOK_G,), edges=np.array([[SELF]]))
         assert any("reserved" in v for v in gm.validate(g, *vocabs))
 
+    @pytest.mark.parametrize("edge_type, name", [(SELF, "SELF"), (gm.NO_EDGE, "NO_EDGE")])
+    def test_self_off_diagonal_and_no_edge_reported(self, vocabs, edge_type, name):
+        c, n_, _ = label_ids(vocabs)
+        for labels in ([c, n_], [TOK_CLS, c]):
+            g = gm.graph_from_edge_list(labels, [(0, 1, edge_type)])
+            out = gm.validate(g, *vocabs)
+            assert len(out) == 1 and name in out[0]
+
+
+class TestReservedNamesInRecords:
+    """A record parses exactly when validate accepts the graph it names;
+    otherwise the DataError carries the line number."""
+
+    def assert_parses_iff_valid(self, vocabs, record, graph):
+        if gm.validate(graph, *vocabs):
+            with pytest.raises(DataError, match="reserved.*line 7"):
+                gm.graph_from_record(record, *vocabs, lineno=7)
+        else:
+            assert gm.graph_from_record(record, *vocabs, lineno=7) == graph
+
+    @pytest.mark.parametrize("name", gm.RESERVED_LABEL_NAMES)
+    def test_labels(self, vocabs, name):
+        lv, _ = vocabs
+        self.assert_parses_iff_valid(vocabs, {"nodes": ["C", name], "edges": []},
+                                     gm.graph_from_edge_list([lv.id("C"), lv.id(name)], []))
+
+    @pytest.mark.parametrize("name", gm.RESERVED_EDGE_NAMES)
+    @pytest.mark.parametrize("first", ["N", "<CLS>"])
+    def test_edges(self, vocabs, name, first):
+        lv, ev = vocabs
+        self.assert_parses_iff_valid(
+            vocabs, {"nodes": [first, "C"], "edges": [[0, 1, name]]},
+            gm.graph_from_edge_list([lv.id(first), lv.id("C")], [(0, 1, ev.id(name))]))
+
 
 @pytest.mark.parametrize("feats", [np.ones(3), np.ones((2, 2)), np.ones((3, 2, 1))],
                          ids=["1-d", "row-count", "3-d"])

@@ -131,7 +131,7 @@ class TestMaskGraph:
 def build_pretrain_params(seed=0, n_labels=11, n_edge_types=7):
     rng = np.random.default_rng(seed)
     params = init_encoder_params(CFG, n_labels, n_edge_types, rng)
-    params.update(obj.init_recovery_heads(CFG, n_labels, 3, rng, pair_width=4, fe_hidden=8))
+    params.update(obj.init_recovery_heads(CFG, n_labels, 3, rng))
     params.update(obj.init_property_head(CFG, 2, rng, hidden=8))
     return params
 

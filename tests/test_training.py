@@ -69,6 +69,7 @@ class TestConfig:
             config_from_dict({"task": "translate", "bogus": 1})
 
     @pytest.mark.parametrize("section, key", [("encoder", "edge_feature_dim"),
+                                              ("decoder", "use_positional_encoding"),
                                               ("decoder", "bogus")])
     def test_unknown_encoder_and_decoder_keys_rejected(self, section, key):
         with pytest.raises(DataError, match=f"unknown {section} config keys \\['{key}'\\]"):
@@ -322,7 +323,8 @@ class TestCheckpointContract:
     def test_snapshot_recording_zero_edge_feature_dim_loads(self, copy_data, prop_data,
                                                             tmp_path, task):
         # older versions record edge_feature_dim, 0 in every file they wrote,
-        # and fe_activation, "tanh" in every translation checkpoint
+        # and fe_activation, "tanh", and use_positional_encoding, true, in
+        # every translation checkpoint
         data = prop_data if task == "property" else copy_data
         cfg = quick_cfg(task, data, tmp_path, max_steps=2)
         model, _ = train(cfg)
@@ -331,7 +333,9 @@ class TestCheckpointContract:
         ckpt.config["encoder"]["edge_feature_dim"] = 0
         if task == "translate":
             assert "fe_activation" not in ckpt.config["decoder"]
+            assert "use_positional_encoding" not in ckpt.config["decoder"]
             ckpt.config["decoder"]["fe_activation"] = "tanh"
+            ckpt.config["decoder"]["use_positional_encoding"] = True
         save_checkpoint(cfg.out_checkpoint, ckpt.params, ckpt.config)
         loaded, _ = model_from_checkpoint(cfg.out_checkpoint)
         assert loaded.enc_cfg == model.enc_cfg
@@ -438,8 +442,9 @@ def per_graph_translation_loss(model, src, batch):
     enc_h = encode(model.enc_cfg, model.params, src)
     node_logits, edge_logits = decode_forward(model.dec_cfg, model.params, enc_h, batch)
     loss = cross_entropy_mean(node_logits, batch.node_targets)
-    if batch.n_target_pairs:
-        loss = ad.add(loss, cross_entropy_mean(edge_logits[:batch.n_target_pairs],
+    pairs = len(batch.pair_target_classes)
+    if pairs:
+        loss = ad.add(loss, cross_entropy_mean(edge_logits[:pairs],
                                                batch.pair_target_classes))
     return loss
 
@@ -570,7 +575,7 @@ class TestBatchedPass:
                 enc_h = encode_batch(model.enc_cfg, model.params, [src, other])
                 node, edge = decode_batch(model.dec_cfg, model.params, enc_h,
                                           [src.n, other.n], [target, other_target])
-            pairs = target.n_target_pairs
+            pairs = len(target.pair_target_classes)
             return (cross_entropy_mean(node[:target.k + 1], target.node_targets).item()
                     + cross_entropy_mean(edge[:pairs], target.pair_target_classes).item())
 
