@@ -13,7 +13,9 @@ training begins at exact vanilla attention (gamma = 1 + raw, beta = raw).
 All heads of a layer run as one autodiff op (autodiff.multi_head_attention):
 one batched matmul over the (heads, n, d_k) view of the projections, and a
 backward written by hand from the saved softmax weights. The op also takes a
-batch axis, so encode_batch runs a whole padded mini-batch of graphs at once.
+batch axis, so encode_batch runs a whole mini-batch of graphs at once: the
+graphs' node rows are packed back to back, and only the attention op lays
+them out on the padded (B, n, n) grid of node pairs.
 """
 
 from __future__ import annotations
@@ -117,11 +119,13 @@ def project_keys_values(params: dict[str, Tensor], base: str, source: Tensor
 def multi_head_film_attention(cfg, params: dict[str, Tensor], base: str, x: Tensor,
                               gamma: Tensor | None = None, beta: Tensor | None = None,
                               mask: np.ndarray | None = None,
-                              kv: tuple[Tensor, Tensor] | None = None
+                              kv: tuple[Tensor, Tensor] | None = None,
+                              sizes: tuple[np.ndarray, np.ndarray] | None = None
                               ) -> tuple[Tensor, np.ndarray]:
     """All heads of one layer as one op; the (gamma, beta) pair is shared
-    across heads. Returns the output rows and the weights, (heads, n, nk), or
-    (B, heads, n, nk) for a batch of sequences (see ad.multi_head_attention).
+    across heads. Returns the output rows and the weights, (heads, n, nk),
+    or (B, heads, n, nk) for a batch of sequences (see
+    ad.multi_head_attention, which also says how sizes packs the rows).
 
     Queries come from x; keys and values from x itself, unless kv holds
     them already projected (the encoder output for cross-attention, or
@@ -129,7 +133,7 @@ def multi_head_film_attention(cfg, params: dict[str, Tensor], base: str, x: Tens
     """
     q = affine(params, f"{base}.q", x)
     k, v = kv or project_keys_values(params, base, x)
-    out, weights = ad.multi_head_attention(q, k, v, cfg.heads, gamma, beta, mask)
+    out, weights = ad.multi_head_attention(q, k, v, cfg.heads, gamma, beta, mask, sizes)
     return affine(params, f"{base}.o", out), weights
 
 
@@ -139,13 +143,14 @@ def feed_forward(params: dict[str, Tensor], base: str, x: Tensor) -> Tensor:
 
 def encode_batch(cfg: EncoderConfig, params: dict[str, Tensor], graphs: list[Graph],
                  prefix: str = "enc", collect_attention: bool = False):
-    """Run the encoder stack over a batch of graphs in one padded pass.
+    """Run the encoder stack over a batch of graphs in one pass.
 
-    With n the largest graph's node count, returns (B*n, d) rows: graph b's
-    nodes are rows b*n .. b*n + g.n - 1, and the rows after them are padding
-    (pad_graphs). Padding rows and columns are masked out of every attention,
-    so a graph's rows do not depend on the rest of the batch and padding rows
-    receive exactly zero gradient.
+    Returns the graphs' node rows packed back to back, (sum of g.n, d):
+    graph b's nodes start at the sum of the earlier graphs' node counts
+    (ad.packed_rows). Every layer but attention works row by row on them;
+    attention sees the graphs' padded (B, n, n) grid, n the largest node
+    count, with padding masked, so a graph's rows do not depend on the rest
+    of the batch.
 
     Input embedding is the label embedding, plus projected node features when
     configured, plus the sinusoidal positional encoding (per graph) when
@@ -167,24 +172,21 @@ def encode_batch(cfg: EncoderConfig, params: dict[str, Tensor], graphs: list[Gra
             raise ContractError(f"encoder expects node features of width "
                                 f"{cfg.node_feature_dim}, graph has width {width}")
     sizes = np.array([g.n for g in graphs])
-    batch, n = len(graphs), int(sizes.max())
     labels, edges = pad_graphs(graphs)
-    x = ad.embedding_gather(params[f"{prefix}.embed"], labels.reshape(-1))
+    _, real = ad.packed_rows(sizes)
+    x = ad.embedding_gather(params[f"{prefix}.embed"], labels[real])
     if cfg.node_feature_dim:
-        feats = np.zeros((batch, n, cfg.node_feature_dim))
-        for b, g in enumerate(graphs):
-            feats[b, :g.n] = g.node_features
-        x = ad.add(x, affine(params, f"{prefix}.feat", Tensor(feats.reshape(batch * n, -1))))
+        feats = np.concatenate([g.node_features for g in graphs])
+        x = ad.add(x, affine(params, f"{prefix}.feat", Tensor(feats)))
     if cfg.use_positional_encoding:
-        x = ad.add(x, Tensor(np.tile(positional_encoding(n, cfg.width), (batch, 1))))
+        x = ad.add(x, Tensor(positional_encoding(real.shape[1], cfg.width)[np.nonzero(real)[1]]))
     gammas, betas = edge_gamma_beta(params, f"{prefix}.cond", edges, cfg.layers)
-    real = np.arange(n) < sizes[:, None]
-    mask = neighbor_mask(edges, cfg.neighbor_only) & real[:, :, None] & real[:, None, :]
+    mask = neighbor_mask(edges, cfg.neighbor_only)
     collected = []
     for i in range(cfg.layers):
         base = f"{prefix}.l{i}"
         attn, head_weights = multi_head_film_attention(
-            cfg, params, base, x, gammas[i], betas[i], mask)
+            cfg, params, base, x, gammas[i], betas[i], mask, sizes=(sizes, sizes))
         x = ad.layer_norm(x, params[f"{base}.ln1.g"], params[f"{base}.ln1.b"], residual=attn)
         ff = feed_forward(params, base, x)
         x = ad.layer_norm(x, params[f"{base}.ln2.g"], params[f"{base}.ln2.b"], residual=ff)
@@ -201,10 +203,10 @@ def encode(cfg: EncoderConfig, params: dict[str, Tensor], g: Graph, prefix: str 
     return encode_batch(cfg, params, [g], prefix)
 
 
-def readout_cls(h: Tensor, rows: int | None = None) -> Tensor:
+def readout_cls(h: Tensor, sizes: list[int] | None = None) -> Tensor:
     """Graph-level vector: the final representation of the prepended token.
 
-    With rows, h holds graphs of that many (padded) rows each, as encode_batch
+    With sizes, h holds graphs of sizes[b] rows each, packed as encode_batch
     returns them, and the result is one vector per graph, (B, d).
     """
-    return h[0] if rows is None else h[::rows]
+    return h[0] if sizes is None else h[ad.packed_rows(sizes)[0]]

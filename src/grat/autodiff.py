@@ -383,36 +383,84 @@ def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return _make(data, (x,), bwd)
 
 
+def packed_rows(sizes, width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The row layout of a packed batch: B sequences of sizes[b] rows stored
+    back to back, so that sequence b's rows start at the sum of the earlier
+    sizes. Returns those starts (B,) and the real cells of the padded grid,
+    (B, width) with [b, i] true for i < sizes[b]; width defaults to the
+    largest size. The grid's true cells, in C order, are the packed rows in
+    order, so grid-shaped arrays pack as a[real] and the packed rows' grid
+    rows (b*width + i) are np.flatnonzero(real).
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    width = int(sizes.max(initial=0)) if width is None else width
+    return np.cumsum(sizes) - sizes, np.arange(width) < sizes[:, None]
+
+
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
                          gamma: Tensor | None = None, beta: Tensor | None = None,
-                         mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+                         mask: np.ndarray | None = None,
+                         sizes: tuple[Sequence[int], Sequence[int]] | None = None
+                         ) -> tuple[Tensor, np.ndarray]:
     """All heads of edge-modulated scaled dot-product attention as one op,
     over a batch of B independent sequences.
 
-    q is (B*n, heads*dk), k (B*nk, heads*dk) and v (B*nk, heads*dv): sequence
-    b owns rows b*n.. of q and b*nk.. of k and v, each viewed as (heads, rows,
-    d). Per sequence and head, weights = softmax((gamma*QK^T + beta)/sqrt(dk))
+    Per sequence and head, weights = softmax((gamma*QK^T + beta)/sqrt(dk)),
     with gamma, beta and mask (B, n, nk) shared by every head; (n, nk), or
-    neither gamma nor mask given, is B = 1. With gamma and beta both None the
-    modulation is skipped. Masked weights are exactly 0 and a fully masked row
-    is a zero row. Returns the (B*n, heads*dv) output and the weights,
-    (B, heads, n, nk), or (heads, n, nk) when B = 1 came from 2-d inputs. The
-    backward is written from the saved weights.
+    no gamma, mask or sizes, is B = 1. With gamma and beta both None the
+    modulation is skipped. Masked weights are exactly 0 and a fully masked
+    row is a zero row. The backward is written from the saved weights.
+
+    Dense (sizes None): q is (B*n, heads*dk), k (B*nk, heads*dk) and v
+    (B*nk, heads*dv); sequence b owns rows b*n.. of q and b*nk.. of k and v,
+    each viewed as (heads, rows, d).
+
+    Packed: sizes = (query sizes, key sizes), one pair per sequence, and
+    q, k and v hold only the real rows, back to back (packed_rows), which
+    are a prefix of each sequence: sequence b's queries are query position
+    0..sizes[0][b]-1 of the (B, n, nk) grid, and likewise its keys. The op
+    puts the rows into a zero grid, masks every padding row and column, and
+    returns the output, and takes the q/k/v gradients, at the real rows
+    only; gamma, beta and the weights keep the grid's shape. n and nk are
+    gamma's or mask's last two extents, or else the largest sizes. Sizes
+    that fill the grid pad nothing, and the rows run as the dense form.
+
+    Returns the (q rows, heads*dv) output and the weights, (B, heads, n,
+    nk), or (heads, n, nk) when gamma or mask is 2-d, or when the dense form
+    has neither.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     pairs = gamma.data if gamma is not None else mask
     lead = np.shape(pairs)[:-2] if pairs is not None else ()
-    batch = lead[0] if lead else 1
     (rows, width), key_rows = q.data.shape, k.data.shape[0]
     if k.data.shape[1] != width or width % heads:
         raise DimensionError(f"attention: query {q.data.shape} and key {k.data.shape} "
                              f"widths do not split into {heads} equal heads")
     if v.data.shape[0] != key_rows or v.data.shape[1] % heads:
         raise DimensionError(f"attention: {v.data.shape} values for {k.data.shape} keys")
-    if len(lead) > 1 or rows % batch or key_rows % batch:
-        raise DimensionError(f"attention: {rows} query and {key_rows} key rows do not "
-                             f"split into {batch} sequences")
-    n, nk = rows // batch, key_rows // batch
+    if sizes is None:
+        batch = lead[0] if lead else 1
+        if len(lead) > 1 or rows % batch or key_rows % batch:
+            raise DimensionError(f"attention: {rows} query and {key_rows} key rows do not "
+                                 f"split into {batch} sequences")
+        n, nk = rows // batch, key_rows // batch
+    else:
+        q_sizes, k_sizes = (np.asarray(s, dtype=np.int64) for s in sizes)
+        batch = len(q_sizes)
+        if pairs is None:
+            lead = (batch,)
+            n, nk = q_sizes.max(initial=0), k_sizes.max(initial=0)
+        else:
+            n, nk = np.shape(pairs)[-2:]
+        if (len(k_sizes) != batch or lead not in ((batch,), ()) or (not lead and batch != 1)
+                or q_sizes.sum() != rows or k_sizes.sum() != key_rows
+                or q_sizes.min(initial=0) < 0 or q_sizes.max(initial=0) > n
+                or k_sizes.min(initial=0) < 0 or k_sizes.max(initial=0) > nk):
+            raise DimensionError(f"attention: {rows} query and {key_rows} key rows do not "
+                                 f"pack as sizes {q_sizes.tolist()} and {k_sizes.tolist()} "
+                                 f"into {batch} sequences of {n} and {nk} rows")
+    # sizes that fill the grid leave nothing to pad: the packed rows are dense
+    packed = sizes is not None and (rows != batch * n or key_rows != batch * nk)
     pair_shape = lead + (n, nk)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
@@ -421,31 +469,50 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
                         ("mask", mask is not None and mask.shape)):
         if shape and shape != pair_shape:
             raise DimensionError(f"attention: {name} shape {shape} != {pair_shape}")
+    if not packed:
+        qd, kd, vd = q.data, k.data, v.data
+    else:
+        real_q, real_k = packed_rows(q_sizes, n)[1], packed_rows(k_sizes, nk)[1]
+        real = (real_q[:, :, None] & real_k[:, None, :]).reshape(pair_shape)
+        mask = real if mask is None else mask & real
+        q_at, k_at = np.flatnonzero(real_q), np.flatnonzero(real_k)
+        qd, kd, vd = (np.zeros((batch * extent, t.data.shape[1])) for extent, t in
+                      ((n, q), (nk, k), (nk, v)))
+        qd[q_at], kd[k_at], vd[k_at] = q.data, k.data, v.data
     scale = 1.0 / np.sqrt(width // heads)
-    qh, kh, vh = (t.data.reshape(batch, len(t.data) // batch, heads, -1).transpose(0, 2, 1, 3)
-                  for t in (q, k, v))
+    qh, kh, vh = (data.reshape(batch, extent, heads, -1).transpose(0, 2, 1, 3)
+                  for data, extent in ((qd, n), (kd, nk), (vd, nk)))
     logits = qh @ kh.transpose(0, 1, 3, 2)
     scales = None if gamma is None else gamma.data.reshape(batch, 1, n, nk)
     modulated = logits if gamma is None else scales * logits + beta.data.reshape(batch, 1, n, nk)
     weights = _softmax(modulated * scale, None if mask is None else mask.reshape(batch, 1, n, nk))
 
     def bwd(g):
+        if packed:
+            g, rows_g = np.zeros((batch * n, g.shape[1])), g
+            g[q_at] = rows_g
         gh = g.reshape(batch, n, heads, -1).transpose(0, 2, 1, 3)
         dweights = gh @ vh.transpose(0, 1, 3, 2)
         dmod = (dweights - (dweights * weights).sum(axis=-1, keepdims=True)) * weights * scale
         dlogits = dmod if gamma is None else dmod * scales
-        _accumulate(q, (dlogits @ kh).transpose(0, 2, 1, 3).reshape(rows, width))
+        dq = (dlogits @ kh).transpose(0, 2, 1, 3).reshape(batch * n, width)
         # C order: on a column-major gradient the upstream matmul rounds differently
-        dkeys = np.ascontiguousarray((qh.transpose(0, 1, 3, 2) @ dlogits).transpose(0, 3, 1, 2))
-        _accumulate(k, dkeys.reshape(key_rows, width))
-        _accumulate(v, (weights.transpose(0, 1, 3, 2) @ gh).transpose(0, 2, 1, 3)
-                    .reshape(key_rows, -1))
+        dk = np.ascontiguousarray((qh.transpose(0, 1, 3, 2) @ dlogits).transpose(0, 3, 1, 2)
+                                  ).reshape(batch * nk, width)
+        dv = (weights.transpose(0, 1, 3, 2) @ gh).transpose(0, 2, 1, 3).reshape(batch * nk, -1)
+        if packed:
+            dq, dk, dv = dq[q_at], dk[k_at], dv[k_at]
+        _accumulate(q, dq)
+        _accumulate(k, dk)
+        _accumulate(v, dv)
         if gamma is not None:
             _accumulate(gamma, (dmod * logits).sum(axis=1).reshape(gamma.data.shape))
             _accumulate(beta, dmod.sum(axis=1).reshape(beta.data.shape))
 
     parents = (q, k, v) if gamma is None else (q, k, v, gamma, beta)
-    out = (weights @ vh).transpose(0, 2, 1, 3).reshape(rows, -1)
+    out = (weights @ vh).transpose(0, 2, 1, 3).reshape(batch * n, -1)
+    if packed:
+        out = out[q_at]
     return _make(out, parents, bwd), weights.reshape(lead + weights.shape[1:])
 
 

@@ -227,7 +227,7 @@ def load_dataset(path, vocabs: tuple[NodeLabelVocab, EdgeTypeVocab] | None = Non
             if not isinstance(record["src"], list) or not record["src"]:
                 raise DataError("'src' must be a non-empty list of graphs", line=lineno)
             srcs = [graph_from_record(part, lv, ev, lineno=lineno) for part in record["src"]]
-            tgt = graph_from_record(record["tgt"], lv, ev, lineno=lineno)
+            tgt = graph_from_record(record["tgt"], lv, ev, lineno=lineno, target=True)
             pairs.append((srcs, tgt))
         else:
             graphs.append(graph_from_record(record, lv, ev, lineno=lineno))

@@ -23,9 +23,11 @@ The edge matrix feeds the same FiLM conditioner as the encoder: SELF on the
 diagonal, the target graph's types between node positions (teacher forcing),
 VIRTUAL from <G> positions to the nodes they may attend. _layout is the one
 definition of tokens, edge matrix and mask. Training lays out a mini-batch
-of targets with one call: their labels and edges padded to the largest
-target, and every position after a target's final <G> marked as padding
-(decode_batch).
+of targets with one call, their labels and edges padded to the largest
+target (decode_batch). Between attention calls the batch holds only each
+target's 2k+1 real positions, packed back to back; only the attention op
+sees the padded grid, where every position after a target's final <G> is
+masked.
 
 Generation runs the same equivalence the other way. Node positions never
 attend to <G> and the mask is causal, so a node's per-layer states are final
@@ -36,13 +38,12 @@ One search serves R requests at once (generate_beams; generate_beam is its
 batch of one): the live set holds the hypotheses of every request, which all
 start together and so share a node count. In self-attention each hypothesis
 is one sequence of the batch axis; in cross-attention each request is one,
-its hypotheses' pending rows padded to the request with the most, attending
-to its own encoder rows with the padding masked. With one request that is
-the unbatched arithmetic exactly. The live set is a handful of arrays over
-hypotheses (labels, edges, scores, node cache), grouped by request, that
-survivors index by parent. Ranking is per request, and ties break in
-creation order, kept by stable sorts rather than by numbering the
-candidates.
+its hypotheses' pending rows attending to its own packed encoder rows. With
+one request that is the dense op, the unbatched arithmetic. The live set is
+a handful of arrays over hypotheses (labels, edges, scores, node cache),
+grouped by request, that survivors index by parent. Ranking is per request,
+and ties break in creation order, kept by stable sorts rather than by
+numbering the candidates.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import CapacityError, ContractError
 from .graph import (Graph, NO_BOND, SELF, VIRTUAL, N_RESERVED_EDGES, N_RESERVED_LABELS,
-                    TOK_EOG, TOK_G, TOK_PAD, pad_graphs)
+                    TOK_EOG, TOK_G, pad_graphs)
 from .nn import affine, init_affine, init_embedding, init_layer_norm, positional_encoding
 from .attention import (init_conditioner, edge_gamma_beta, multi_head_film_attention,
                         feed_forward, project_keys_values)
@@ -210,29 +211,29 @@ def _cross_keys_values(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h:
 
 def _layers(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[Tensor, Tensor]],
             x: Tensor, edge_matrix: np.ndarray, mask: np.ndarray,
-            cached: list[np.ndarray] | None = None, cross_mask: np.ndarray | None = None,
-            cross_rows: tuple[np.ndarray, np.ndarray] | None = None
+            cached: list[np.ndarray] | None = None, sizes: np.ndarray | None = None,
+            cross_sizes: tuple[np.ndarray, np.ndarray] | None = None
             ) -> tuple[Tensor, list[np.ndarray]]:
     """The decoder stack over the input rows x; returns the output rows and,
     with cached, each layer's self-attention keys and values of those rows
     (2L arrays). cross_kv is _cross_keys_values's output.
 
-    x holds B sequences of equal row count, and edge_matrix and mask are
-    (B, rows, keys): sequence b's rows attend only to its own keys. Without
-    cached, the keys are the sequence's own rows. With cached (per layer, the
-    keys then the values of c earlier rows, (B, c, width) arrays), sequence
-    b's keys are its c cached rows, then its own rows; the cached rows carry
-    no gradient, so that path is for inference only.
+    edge_matrix and mask are (B, rows, keys), one grid per sequence:
+    sequence b's rows attend only to its own keys. With sizes, x holds the
+    first sizes[b] rows of each sequence, packed back to back, and the keys
+    are the sequence's own rows (ad.multi_head_attention). Without sizes, x
+    holds B sequences of equal row count. Without cached, the keys are the
+    sequence's own rows. With cached (per layer, the keys then the values of
+    c earlier rows, (B, c, width) arrays), sequence b's keys are its c cached
+    rows, then its own rows; the cached rows carry no gradient, so that path
+    is for inference only.
 
-    Cross-attention splits the rows of x evenly into the sequences of
-    cross_mask's batch axis, S of them (one when cross_mask is None), and
-    sequence s attends to the s-th block of encoder rows in cross_kv, as
-    cross_mask (S, rows, encoder rows) allows; without it every row sees
-    every encoder row. cross_rows, when given, is a (gather, scatter) pair
-    of row indices: the cross-attention queries are x[gather], and its
-    output rows are put back in x's order by [scatter].
+    Cross-attention runs per sequence of cross_sizes, (query rows of x,
+    encoder rows of cross_kv) each, both packed; without cross_sizes every
+    row of x sees every encoder row.
     """
     gammas, betas = edge_gamma_beta(params, "dec.cond", edge_matrix, cfg.layers)
+    self_sizes = None if sizes is None else (sizes, sizes)
     projected = []
     for i in range(cfg.layers):
         base = f"dec.l{i}"
@@ -243,14 +244,11 @@ def _layers(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[
             groups, _, width = cached[2 * i].shape
             kv = tuple(Tensor(np.concatenate([old, rows.reshape(groups, -1, width)], axis=1)
                               .reshape(-1, width)) for old, rows in zip(cached[2 * i:], new))
-        attn, _ = multi_head_film_attention(cfg, params, f"{base}.self", x,
-                                            gammas[i], betas[i], mask, kv=kv)
+        attn, _ = multi_head_film_attention(cfg, params, f"{base}.self", x, gammas[i], betas[i],
+                                            mask, kv=kv, sizes=self_sizes)
         x = ad.layer_norm(x, params[f"{base}.ln1.g"], params[f"{base}.ln1.b"], residual=attn)
-        queries = x if cross_rows is None else x[cross_rows[0]]
-        cross, _ = multi_head_film_attention(cfg, params, f"{base}.cross", queries,
-                                             mask=cross_mask, kv=cross_kv[i])
-        if cross_rows is not None:
-            cross = cross[cross_rows[1]]
+        cross, _ = multi_head_film_attention(cfg, params, f"{base}.cross", x, kv=cross_kv[i],
+                                             sizes=cross_sizes)
         x = ad.layer_norm(x, params[f"{base}.ln2.g"], params[f"{base}.ln2.b"], residual=cross)
         ff = feed_forward(params, base, x)
         x = ad.layer_norm(x, params[f"{base}.ln3.g"], params[f"{base}.ln3.b"], residual=ff)
@@ -263,50 +261,51 @@ def _edge_logits(params: dict[str, Tensor], p_steps: Tensor, p_nodes: Tensor) ->
     return affine(params, "dec.fe2", hidden)
 
 
+def _check_encoder_sizes(encoder_h: Tensor, encoder_sizes, count: int):
+    """encoder_h must pack count graphs of encoder_sizes rows, each at least one."""
+    sizes = np.asarray(encoder_sizes)
+    if not count or len(sizes) != count or sizes.min() < 1 or sizes.sum() != encoder_h.shape[0]:
+        raise ContractError(f"encoder sizes {list(encoder_sizes)} do not pack "
+                            f"{encoder_h.shape[0]} encoder rows of {count} graphs")
+
+
 def decode_batch(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor,
                  encoder_sizes: list[int], batches: list[DecoderBatch],
                  input_offsets: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """One teacher-forced pass over B targets at once; returns (node_logits,
     edge_logits), graph by graph in batch order.
 
-    encoder_h holds B graphs of equal padded row count (encode_batch's
-    output) and encoder_sizes[b] counts graph b's real rows; cross-attention
-    sees only those. The targets are padded to the largest (pad_graphs) and
-    laid out together, L positions each. Every position after a target's
-    final <G> is padding: a TOK_PAD token whose row and column are masked, so
-    a graph's logits do not depend on the rest of the batch. Per graph,
-    node_logits has one row per <G> step (k+1 rows) and edge_logits one row
-    per pair, aligned with its pair_steps/pair_nodes. input_offsets, when
-    given, is added to the embedded (B*L, width) input rows (a diagnostic
-    hook for position-targeted perturbation tests).
+    encoder_h holds the B encoded graphs' rows packed back to back
+    (encode_batch's output), encoder_sizes[b] rows for graph b, which are
+    all that graph b's cross-attention sees. The targets are laid out
+    together (_layout over pad_graphs), and each target's 2k+1 positions are
+    packed back to back as well: only the attention op sees the padded
+    grid, with padding masked, so a graph's logits do not depend on the
+    rest of the batch. Per graph, node_logits has one row per <G> step (k+1
+    rows) and edge_logits one row per pair, aligned with its
+    pair_steps/pair_nodes. input_offsets, when given, is added to the
+    embedded packed input rows (a diagnostic hook for position-targeted
+    perturbation tests).
     """
     n_graphs = len(batches)
-    sizes = np.array([b.k for b in batches])
-    length = 2 * int(sizes.max()) + 1
-    if length > cfg.max_context:
-        raise CapacityError(f"decoder sequence length {length} exceeds {cfg.max_context}")
-    if len(encoder_sizes) != n_graphs or encoder_h.shape[0] % n_graphs:
-        raise ContractError(f"{len(encoder_sizes)} encoded graphs in {encoder_h.shape[0]} rows "
-                            f"for {n_graphs} targets")
+    _check_encoder_sizes(encoder_h, encoder_sizes, n_graphs)
+    lengths = np.array([2 * b.k + 1 for b in batches])
+    if lengths.max() > cfg.max_context:
+        raise CapacityError(f"decoder sequence length {lengths.max()} exceeds {cfg.max_context}")
     tokens, edge_matrix, mask = _layout(*pad_graphs([b.target for b in batches]))
-    padding = np.arange(length) > 2 * sizes[:, None]
-    tokens[padding] = TOK_PAD
-    mask[padding] = False     # padding columns are already later than every real row
-    x = ad.embedding_gather(params["dec.embed"], tokens.reshape(-1))
-    x = ad.add(x, Tensor(np.tile(positional_encoding(length, cfg.width), (n_graphs, 1))))
+    starts, real = ad.packed_rows(lengths)
+    tokens = tokens[real]
+    x = ad.embedding_gather(params["dec.embed"], tokens)
+    x = ad.add(x, Tensor(positional_encoding(real.shape[1], cfg.width)[np.nonzero(real)[1]]))
     if input_offsets is not None:
         x = ad.add(x, Tensor(input_offsets))
-    # each target is a request of one hypothesis, as the search lays them out
-    cross_mask, _ = _cross_layout(list(range(n_graphs)), n_graphs, encoder_sizes,
-                                  encoder_h.shape[0] // n_graphs, length)
     x, _ = _layers(cfg, params, _cross_keys_values(cfg, params, encoder_h), x,
-                   edge_matrix, mask, cross_mask=cross_mask)
+                   edge_matrix, mask, sizes=lengths, cross_sizes=(lengths, encoder_sizes))
 
-    gen_rows = np.flatnonzero(tokens == TOK_G)      # the real <G> positions, in order
+    gen_rows = np.flatnonzero(tokens == TOK_G)      # the <G> positions, in order
     node_logits = affine(params, "dec.fl", ad.embedding_gather(x, gen_rows))
     # h'_i sits at position 2i, h_j at 2j+1 (1-based node j at 2j-1)
     p_rows = affine(params, "dec.fp", x)
-    starts = np.arange(n_graphs) * length
     step_rows = np.concatenate([s + 2 * b.pair_steps for s, b in zip(starts, batches)])
     node_rows = np.concatenate([s + 2 * b.pair_nodes + 1 for s, b in zip(starts, batches)])
     edge_logits = _edge_logits(params, ad.embedding_gather(p_rows, step_rows),
@@ -372,36 +371,6 @@ def _check_max_nodes(cfg: DecoderConfig, max_nodes: int):
                             f"positions, context limit is {cfg.max_context}")
 
 
-def _cross_layout(starts: list[int], n_hyp: int, key_sizes: list[int], n_keys: int,
-                  n_pos: int) -> tuple[np.ndarray | None, tuple[np.ndarray, np.ndarray] | None]:
-    """Cross-attention's mask and row gather (_layers' cross_mask and
-    cross_rows) with one sequence per request.
-
-    The n_hyp live hypotheses are grouped by request, request r's starting at
-    starts[r], and its keys are the first key_sizes[r] of its n_keys encoder
-    rows. Its queries are the n_pos pending rows of each of its hypotheses,
-    padded to the request with the most; padding queries repeat row 0 and
-    are dropped afterwards. One request without key padding needs neither.
-    """
-    n_req = len(starts)
-    if n_req == 1 and key_sizes[0] == n_keys:
-        return None, None
-    counts = np.diff(starts, append=n_hyp)
-    most = counts.max()
-    rows = None
-    if counts.min() < most:
-        # hypothesis i is the (i - start)-th of its request, whose padded
-        # block starts at request * most
-        offset = np.repeat(np.arange(n_req) * most - np.array(starts), counts)
-        scatter = ((np.arange(n_hyp) + offset)[:, None] * n_pos + np.arange(n_pos)).reshape(-1)
-        gather = np.zeros(n_req * most * n_pos, dtype=np.int64)
-        gather[scatter] = np.arange(n_hyp * n_pos)
-        rows = gather, scatter
-    mask = np.broadcast_to((np.arange(n_keys) < np.array(key_sizes)[:, None])[:, None],
-                           (n_req, most * n_pos, n_keys))
-    return mask, rows
-
-
 def _step(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[Tensor, Tensor]],
           labels: np.ndarray, edges: np.ndarray, cache: list[np.ndarray],
           starts: list[int], key_sizes: list[int]
@@ -415,8 +384,9 @@ def _step(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[Te
     its pending rows, node m and the next <G>, attend to its cached node
     keys, then its own pending rows. Hypotheses are grouped by request,
     request r's starting at starts[r], and each request is one sequence of
-    cross-attention onto its own block of the encoder rows in cross_kv, of
-    which the first key_sizes[r] are real (_cross_layout). Returns the next
+    cross-attention: its hypotheses' pending rows attend to its own
+    key_sizes[r] encoder rows, packed in request order in cross_kv. One
+    request is the dense op, with no padding to mask. Returns the next
     label's log-probs (h, labels), the edge-class log-probs against nodes
     1..m (h, m, classes), and the cache extended by node m.
     """
@@ -428,10 +398,11 @@ def _step(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[Te
     grid = (slice(None), pos[:, None], keys)
     x = ad.embedding_gather(params["dec.embed"], tokens[:, pos].reshape(-1))
     x = ad.add(x, Tensor(np.tile(positional_encoding(2 * m + 1, cfg.width)[pos], (n_hyp, 1))))
-    cross_mask, cross_rows = _cross_layout(starts, n_hyp, key_sizes,
-                                           cross_kv[0][0].shape[0] // len(key_sizes), n_pos)
+    cross_sizes = None
+    if len(starts) > 1:
+        cross_sizes = np.diff(starts, append=n_hyp) * n_pos, key_sizes
     x, projected = _layers(cfg, params, cross_kv, x, edge_matrix[grid], mask[grid],
-                           cache[:-1], cross_mask, cross_rows)
+                           cache[:-1], cross_sizes=cross_sizes)
     label_lp = ad.log_softmax_rows(affine(params, "dec.fl", x[n_pos - 1::n_pos])).data
     if m == 0:
         return label_lp, np.zeros((n_hyp, 0, 0)), cache
@@ -473,9 +444,9 @@ def generate_beams(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Ten
     run as one live set; width 1 is greedy. Returns each request's graphs,
     best first.
 
-    encoder_h holds R encoded sources of equal padded row count
-    (encode_batch's output), and encoder_sizes[r] counts source r's real
-    rows; request r's cross-attention sees only those.
+    encoder_h holds the R encoded sources' rows packed back to back
+    (encode_batch's output), encoder_sizes[r] rows for source r, which are
+    all that request r's cross-attention sees.
 
     Hypothesis scores accumulate the label log-probability plus every chosen
     edge-class log-probability. Pruning at each step ranks a request's
@@ -509,11 +480,7 @@ def generate_beams(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Ten
         raise ContractError("beam width must be >= 1")
     _check_max_nodes(cfg, max_nodes)
     n_req = len(encoder_sizes)
-    if not n_req or encoder_h.shape[0] % n_req:
-        raise ContractError(f"{n_req} requests in {encoder_h.shape[0]} encoder rows")
-    n_keys = encoder_h.shape[0] // n_req
-    if not all(1 <= size <= n_keys for size in encoder_sizes):
-        raise ContractError(f"encoder sizes {encoder_sizes} outside 1..{n_keys}")
+    _check_encoder_sizes(encoder_h, encoder_sizes, n_req)
     allowed = _allowed_labels(params["dec.embed"].shape[0])
     choices = np.flatnonzero(allowed)           # <EOG> first, then the real labels
     # the requests with live hypotheses, and the first hypothesis of each
@@ -566,9 +533,8 @@ def generate_beams(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Ten
             scores = np.array(new_scores)
             cache = [rows[parents] for rows in cache]
             if len(kept) < len(live):    # drop the finished requests' encoder rows
-                cross_kv = [tuple(Tensor(t.data.reshape(n_req, n_keys, -1)[kept]
-                                         .reshape(len(kept) * n_keys, -1)) for t in kv)
-                            for kv in all_kv]
+                rows = np.repeat(np.isin(np.arange(n_req), kept), encoder_sizes)
+                cross_kv = [tuple(Tensor(t.data[rows]) for t in kv) for kv in all_kv]
             live, starts = kept, kept_starts
     for results in finished:
         results.sort(key=lambda result: -result.score)

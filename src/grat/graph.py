@@ -358,7 +358,10 @@ def parse(line: str, label_vocab: NodeLabelVocab, edge_vocab: EdgeTypeVocab,
 
 
 def graph_from_record(record, label_vocab: NodeLabelVocab, edge_vocab: EdgeTypeVocab,
-                      lineno: int | None = None) -> Graph:
+                      lineno: int | None = None, target: bool = False) -> Graph:
+    """Parse one graph record, raising DataError with lineno on the first
+    fault. A translation target (target=True) may carry no reserved label at
+    all, since the decoder predicts only real labels."""
     if not isinstance(record, dict):
         raise DataError("graph record must be a JSON object", line=lineno)
     unknown = set(record) - _GRAPH_KEYS
@@ -374,8 +377,9 @@ def graph_from_record(record, label_vocab: NodeLabelVocab, edge_vocab: EdgeTypeV
         if name not in label_vocab:
             raise DataError(f"unknown node label {name!r}", line=lineno)
         labels.append(label_vocab.id(name))
-        if labels[-1] in _FORBIDDEN_LABELS:
-            raise DataError(f"node {i}: reserved label {name} not allowed in a graph", line=lineno)
+        if labels[-1] in _FORBIDDEN_LABELS or (target and labels[-1] < N_RESERVED_LABELS):
+            raise DataError(f"node {i}: reserved label {name} not allowed in a "
+                            f"{'target' if target else 'graph'}", line=lineno)
     n = len(labels)
     edges = np.full((n, n), NO_BOND, dtype=np.int64)
     np.fill_diagonal(edges, SELF)

@@ -12,7 +12,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError
 from .decoder import edge_class_of_type
-from .graph import (Graph, MASK_EDGE, NO_BOND, TOK_CLS, TOK_MASK, VIRTUAL,
+from .graph import (Graph, MASK_EDGE, TOK_CLS, TOK_MASK, VIRTUAL,
                     N_RESERVED_EDGES, N_RESERVED_LABELS, prepend_token)
 from .attention import EncoderConfig, encode_batch, readout_cls
 from .attention import encode  # noqa: F401  (an import site perfbench's tracer checks)
@@ -174,7 +174,9 @@ def pretrain_loss(cfg: EncoderConfig, params: dict[str, Tensor],
                   samples: list[MaskedGraphSample],
                   graph_targets: np.ndarray | None = None) -> Tensor:
     """Mean over the corrupted graphs of each one's recovery loss, from one
-    padded encoder pass over the graphs behind a prepended <CLS> token.
+    encoder pass over the graphs behind a prepended <CLS> token, whose rows
+    come back packed (encode_batch): graph b's <CLS> row first, then its
+    nodes.
 
     A graph's loss is its node cross-entropy at the masked nodes plus, when
     it has masked edges, its edge cross-entropy at those pairs, plus, with
@@ -186,14 +188,15 @@ def pretrain_loss(cfg: EncoderConfig, params: dict[str, Tensor],
     if not all(s.node_targets for s in samples):
         raise ContractError("pretrain_loss: a sample has no masked node")
     graphs = [prepend_token(s.graph, TOK_CLS, VIRTUAL) for s in samples]
-    n = max(g.n for g in graphs)
+    sizes = [g.n for g in graphs]
     h = encode_batch(cfg, params, graphs)
+    starts, _ = ad.packed_rows(sizes)
     share = 1.0 / len(samples)
-    # graph b's node i is row b*n + i + 1, behind its <CLS>
-    nodes = [(b * n + i + 1, label, share / len(s.node_targets))
-             for b, s in enumerate(samples) for i, label in sorted(s.node_targets.items())]
-    pairs = [(b * n + i + 1, b * n + j + 1, edge_class_of_type(t), share / len(s.edge_targets))
-             for b, s in enumerate(samples) for (i, j), t in sorted(s.edge_targets.items())]
+    # graph b's node i is row starts[b] + i + 1, behind its <CLS>
+    nodes = [(start + i + 1, label, share / len(s.node_targets))
+             for start, s in zip(starts, samples) for i, label in sorted(s.node_targets.items())]
+    pairs = [(start + i + 1, start + j + 1, edge_class_of_type(t), share / len(s.edge_targets))
+             for start, s in zip(starts, samples) for (i, j), t in sorted(s.edge_targets.items())]
     rows, labels, weights = map(np.array, zip(*nodes))
     loss = cross_entropy_mean(affine(params, "rec.fl", h[rows]), labels, weights)
     if pairs:
@@ -204,6 +207,6 @@ def pretrain_loss(cfg: EncoderConfig, params: dict[str, Tensor],
         logits = affine(params, "rec.fe2", ad.relu(affine(params, "rec.fe1", pair_rows)))
         loss = ad.add(loss, cross_entropy_mean(logits, classes, weights))
     if graph_targets is not None:
-        preds = property_forward(params, readout_cls(h, n))
+        preds = property_forward(params, readout_cls(h, sizes))
         loss = ad.add(loss, l1_mean(preds, np.asarray(graph_targets, dtype=np.float64)))
     return loss

@@ -145,7 +145,7 @@ def _chunks(seq, size):
         yield seq[start:start + size]
 
 
-# graphs per padded encoder pass in predict_batch and per batched beam search
+# graphs per encoder pass in predict_batch and per batched beam search
 # in generate_batch: bounds the (B, n, n) pair arrays of a large input
 PREDICT_BATCH = 64
 
@@ -201,7 +201,7 @@ class TranslationModel:
 
     def batch_loss(self, enc_inputs: list[Graph], batches: list[DecoderBatch]) -> Tensor:
         """Mean over the pairs of each pair's node cross-entropy plus, when its
-        target has edge decisions, its edge cross-entropy; one padded encoder
+        target has edge decisions, its edge cross-entropy; one encoder
         and decoder pass for all of them."""
         enc_h = encode_batch(self.enc_cfg, self.params, enc_inputs)
         node_logits, edge_logits = decode_batch(self.dec_cfg, self.params, enc_h,
@@ -230,7 +230,7 @@ class TranslationModel:
 
     def generate_batch(self, sources: list[list[Graph]], width: int, max_nodes: int
                        ) -> list[list[GeneratedGraph]]:
-        """generate for each source, as one padded encoder pass and one batched
+        """generate for each source, as one encoder pass and one batched
         beam search (generate_beams) per chunk of up to PREDICT_BATCH sources.
         Graphs and flags equal generate's; scores can differ in the last ulps."""
         results = []
@@ -269,13 +269,13 @@ class PropertyModel:
 
     def _forward(self, enc_inputs: list[Graph]) -> Tensor:
         h = encode_batch(self.enc_cfg, self.params, enc_inputs)
-        return property_forward(self.params, readout_cls(h, max(g.n for g in enc_inputs)))
+        return property_forward(self.params, readout_cls(h, [g.n for g in enc_inputs]))
 
     def predict(self, g: Graph) -> dict[str, float]:
         return self.predict_batch([g])[0]
 
     def predict_batch(self, graphs: list[Graph]) -> list[dict[str, float]]:
-        """Raw-unit predictions per graph, from one padded encoder pass per
+        """Raw-unit predictions per graph, from one encoder pass per
         chunk of up to PREDICT_BATCH graphs."""
         out = []
         for chunk in _chunks(graphs, PREDICT_BATCH):

@@ -138,7 +138,7 @@ def test_criterion_1_gradient_oracle():
     ev = gm.EdgeTypeVocab(["single", "double"])
     model = TranslationModel.build(cfg.encoder_config(), cfg.decoder_config(),
                                    lv, ev, seed=5)
-    # a padded batch of two pairs of different sizes
+    # a ragged batch of two pairs of different sizes
     rng = np.random.default_rng(77)
     srcs = [random_source_graph(rng, n=5), random_source_graph(rng, n=3)]
     batches = [build_decoder_batch(random_target(rng, k=4)),

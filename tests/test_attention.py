@@ -169,43 +169,70 @@ class TestFilmAttention:
     @pytest.mark.parametrize("film", [True, False])
     def test_batch_matches_separate_calls(self, film):
         # a ragged batch: sequence b has sizes[b] queries and key_sizes[b] keys,
-        # padded to the longest, with padding rows and columns masked
+        # either padded to the longest with padding rows and columns masked
+        # (dense), or packed back to back with the sizes given (packed), where
+        # the op must mask the padding itself
         rng = np.random.default_rng(31)
         heads, dk, dv = 2, 3, 2
         sizes, key_sizes = np.array([3, 5, 1]), np.array([4, 2, 6])
         batch, n, nk = 3, sizes.max(), key_sizes.max()
         real_q = np.arange(n) < sizes[:, None]
         real_k = np.arange(nk) < key_sizes[:, None]
-        mask = (rng.random((batch, n, nk)) > 0.2) & real_q[:, :, None] & real_k[:, None, :]
-        inputs = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in
+        real = real_q[:, :, None] & real_k[:, None, :]
+        structure = rng.random((batch, n, nk)) > 0.2
+        padded = [rng.normal(size=shape) for shape in
                   ((batch * n, heads * dk), (batch * nk, heads * dk), (batch * nk, heads * dv))]
-        if film:
-            inputs += [Tensor(rng.uniform(0.5, 1.5, size=(batch, n, nk)), requires_grad=True),
-                       Tensor(rng.normal(size=(batch, n, nk)), requires_grad=True)]
+        pairs = ([rng.uniform(0.5, 1.5, size=(batch, n, nk)), rng.normal(size=(batch, n, nk))]
+                 if film else [])
         # the loss reads real rows only, as the batched losses do
         upstream = rng.normal(size=(batch * n, heads * dv)) * real_q.reshape(-1, 1)
-        out, weights = ad.multi_head_attention(*inputs[:3], heads, *inputs[3:], mask=mask)
-        ad.backward(ad.sum_(ad.mul(out, Tensor(upstream))))
-        assert weights.shape == (batch, heads, n, nk)
+        alone = []
         for b in range(batch):
             rows = slice(b * n, b * n + sizes[b])
             keys = slice(b * nk, b * nk + key_sizes[b])
-            pairs = (b, slice(0, sizes[b]), slice(0, key_sizes[b]))
-            parts = [Tensor(t.data[part], requires_grad=True)
-                     for t, part in zip(inputs, (rows, keys, keys, pairs, pairs))]
-            alone, alone_weights = ad.multi_head_attention(*parts[:3], heads, *parts[3:],
-                                                           mask=mask[pairs])
-            ad.backward(ad.sum_(ad.mul(alone, Tensor(upstream[rows]))))
-            assert np.max(np.abs(out.data[rows] - alone.data)) < 1e-12
-            assert np.max(np.abs(weights[b][:, pairs[1], pairs[2]] - alone_weights)) < 1e-12
-            for t, part, single in zip(inputs, (rows, keys, keys, pairs, pairs), parts):
-                assert np.max(np.abs(t.grad[part] - single.grad)) < 1e-12
-        # padding rows, keys and pairs get exactly zero gradient
-        assert not inputs[0].grad[~real_q.reshape(-1)].any()
-        for t in inputs[1:3]:
-            assert not t.grad[~real_k.reshape(-1)].any()
-        for t in inputs[3:]:
-            assert not t.grad[~(real_q[:, :, None] & real_k[:, None, :])].any()
+            cell = (b, slice(0, sizes[b]), slice(0, key_sizes[b]))
+            parts = [Tensor(a[part], requires_grad=True)
+                     for a, part in zip(padded + pairs, (rows, keys, keys, cell, cell))]
+            out, weights = ad.multi_head_attention(*parts[:3], heads, *parts[3:],
+                                                   mask=structure[cell])
+            ad.backward(ad.sum_(ad.mul(out, Tensor(upstream[rows]))))
+            alone.append((out.data, weights, [t.grad for t in parts]))
+
+        starts, key_starts = np.cumsum(sizes) - sizes, np.cumsum(key_sizes) - key_sizes
+        for packed in (False, True):
+            if packed:
+                q_rows, k_rows = real_q.reshape(-1), real_k.reshape(-1)
+                inputs = [Tensor(a[part], requires_grad=True)
+                          for a, part in zip(padded, (q_rows, k_rows, k_rows))]
+                layout = {"mask": structure, "sizes": (sizes, key_sizes)}
+                row_starts, key_row_starts, loss_rows = starts, key_starts, upstream[q_rows]
+            else:
+                inputs = [Tensor(a, requires_grad=True) for a in padded]
+                layout = {"mask": structure & real}
+                row_starts, key_row_starts = np.arange(batch) * n, np.arange(batch) * nk
+                loss_rows = upstream
+            inputs += [Tensor(a, requires_grad=True) for a in pairs]
+            out, weights = ad.multi_head_attention(*inputs[:3], heads, *inputs[3:], **layout)
+            ad.backward(ad.sum_(ad.mul(out, Tensor(loss_rows))))
+            assert out.shape == (len(loss_rows), heads * dv)
+            assert weights.shape == (batch, heads, n, nk)
+            for b, (alone_out, alone_weights, alone_grads) in enumerate(alone):
+                rows = slice(row_starts[b], row_starts[b] + sizes[b])
+                keys = slice(key_row_starts[b], key_row_starts[b] + key_sizes[b])
+                cell = (b, slice(0, sizes[b]), slice(0, key_sizes[b]))
+                assert np.max(np.abs(out.data[rows] - alone_out)) < 1e-12
+                assert np.max(np.abs(weights[b][:, cell[1], cell[2]] - alone_weights)) < 1e-12
+                for t, part, single in zip(inputs, (rows, keys, keys, cell, cell), alone_grads):
+                    assert np.max(np.abs(t.grad[part] - single)) < 1e-12
+            # padding pairs get zero weight and, with padding rows and keys,
+            # exactly zero gradient
+            assert not weights.transpose(1, 0, 2, 3)[:, ~real].any()
+            if not packed:
+                assert not inputs[0].grad[~real_q.reshape(-1)].any()
+                for t in inputs[1:3]:
+                    assert not t.grad[~real_k.reshape(-1)].any()
+            for t in inputs[3:]:
+                assert not t.grad[~real].any()
 
     def test_batch_shape_errors(self):
         q, k = Tensor(np.ones((6, 4))), Tensor(np.ones((4, 4)))
@@ -213,6 +240,21 @@ class TestFilmAttention:
             ad.multi_head_attention(q, k, k, 2, mask=np.ones((3, 2, 1), dtype=bool))
         with pytest.raises(DimensionError):  # mask disagrees with the row split
             ad.multi_head_attention(q, k, k, 2, mask=np.ones((2, 2, 2), dtype=bool))
+        # packed: 5 query and 4 key rows of two sequences on a (2, 3, 3) grid
+        q, grid = Tensor(np.ones((5, 4))), np.ones((2, 3, 3), dtype=bool)
+        out, _ = ad.multi_head_attention(q, k, k, 2, mask=grid, sizes=([3, 2], [1, 3]))
+        assert out.shape == (5, 4)
+        for sizes in (([3, 1], [1, 3]),         # queries sum to 4, not 5
+                      ([3, 2], [2, 3]),         # keys sum to 5, not 4
+                      ([1, 4], [1, 3]),         # 4 queries exceed the grid's 3
+                      ([3, 2], [4, 0]),         # 4 keys exceed the grid's 3
+                      ([6, -1], [1, 3]),        # a negative count
+                      ([3, 2, 0], [1, 3, 0]),   # three sequences on a grid of two
+                      ([3, 2], [4])):           # one key count for two sequences
+            with pytest.raises(DimensionError):
+                ad.multi_head_attention(q, k, k, 2, mask=grid, sizes=sizes)
+        with pytest.raises(DimensionError):     # no grid: counts must still sum
+            ad.multi_head_attention(q, k, k, 2, sizes=([3, 3], [1, 3]))
 
     def test_fully_masked_query_row_is_zero(self):
         rng = np.random.default_rng(25)
@@ -334,6 +376,27 @@ class TestEncode:
             perm = GraphPermutation(tuple(rng.permutation(6)))
             hp = att.encode(cfg, params, gm.permute(g, perm))
             assert np.max(np.abs(hp.data[list(perm.mapping)] - h.data)) < 1e-8
+
+    @pytest.mark.parametrize("options", [{}, {"node_feature_dim": 3},
+                                         {"use_positional_encoding": True},
+                                         {"neighbor_only": True}],
+                             ids=["plain", "features", "positions", "neighbor-only"])
+    def test_batch_rows_match_per_graph_encode(self, options):
+        # graph b's rows follow the earlier graphs' rows, and equal its own pass
+        cfg = dataclasses.replace(CFG, **options)
+        params = make_params(cfg, seed=10)
+        rng = np.random.default_rng(11)
+        graphs = [small_graph(rng, n=n) for n in (3, 6, 1, 4)]
+        if cfg.node_feature_dim:
+            graphs = [Graph(g.labels, g.edges, node_features=rng.normal(size=(g.n, 3)))
+                      for g in graphs]
+        h = att.encode_batch(cfg, params, graphs).data
+        assert h.shape == (sum(g.n for g in graphs), cfg.width)
+        start = 0
+        for g in graphs:
+            alone = att.encode(cfg, params, g).data
+            assert np.max(np.abs(h[start:start + g.n] - alone)) < 1e-12
+            start += g.n
 
     def test_node_features_reach_the_output(self):
         cfg = dataclasses.replace(CFG, node_feature_dim=2)

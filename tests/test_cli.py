@@ -224,8 +224,13 @@ class TestUntrainableData:
                        "tgt": {"nodes": ["A"], "edges": []}}),
         ("property", {"nodes": ["A", "<PAD>"], "edges": [[0, 1, "<self>"]],
                       "props": {"y": 1.0}}),
+        # valid in a source or property graph, but the decoder cannot predict them
+        ("translate", {"src": [{"nodes": ["A"], "edges": []}],
+                       "tgt": {"nodes": ["A", "<CLS>"], "edges": [[0, 1, "<virtual>"]]}}),
+        ("translate", {"src": [{"nodes": ["A"], "edges": []}],
+                       "tgt": {"nodes": ["<REAGENT>", "A"], "edges": []}}),
     ], ids=["eog-in-target", "mask-edge-in-target", "mask-and-virtual-in-source",
-            "pad-and-self-in-property-graph"])
+            "pad-and-self-in-property-graph", "cls-in-target", "delimiter-in-target"])
     def test_reserved_tokens_in_data(self, tmp_path, capsys, task, bad):
         records = (gen_copy_dataset(8, 4, 3, 2, 0) if task == "translate"
                    else gen_property_dataset(8, seed=0, max_nodes=4))

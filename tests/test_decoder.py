@@ -14,7 +14,7 @@ from grat import decoder as dec
 from grat import graph as gm
 from grat.attention import EncoderConfig, encode, encode_batch
 from grat.autodiff import Tensor
-from grat.decoder import DecoderConfig, build_decoder_batch, decode_forward
+from grat.decoder import DecoderConfig, build_decoder_batch, decode_batch, decode_forward
 from grat.errors import CapacityError, ContractError
 from grat.graph import Graph, NO_BOND, SELF, VIRTUAL, TOK_EOG, TOK_G
 from grat.training import RunConfig, TranslationModel
@@ -174,6 +174,20 @@ class TestDecodeForward:
             CFG, params, random_memory(rng), build_decoder_batch(gm.empty_graph()))
         assert node_logits.shape == (1, N_LABELS)
         assert edge_logits.shape == (0, 3)
+
+    def test_encoder_rows_must_pack_the_sizes(self):
+        # encoder rows are packed: graph b's encoder_sizes[b] rows follow the
+        # earlier graphs', so the sizes must sum to the rows, each at least 1
+        params = make_params(seed=8)
+        rng = np.random.default_rng(9)
+        memory = random_memory(rng, n=6)
+        batches = [build_decoder_batch(random_target(rng, k=k)) for k in (2, 3)]
+        node_logits, edge_logits = decode_batch(CFG, params, memory, [2, 4], batches)
+        assert node_logits.shape == (3 + 4, N_LABELS)
+        assert edge_logits.shape[0] == sum(len(b.pair_steps) for b in batches)
+        for sizes in ([3, 4], [6, 0], [7, -1], [6], [2, 2, 2], [3, 3, 0]):
+            with pytest.raises(ContractError):
+                decode_batch(CFG, params, memory, sizes, batches)
 
     def test_logits_finite(self):
         params = make_params(seed=4)
@@ -501,7 +515,7 @@ def random_sources(rng, count):
 
 
 def generate_batched(model, sources, width, max_nodes):
-    """One padded encoder pass over the sources, then one batched search."""
+    """One encoder pass over the sources, then one batched search."""
     inputs = [model.source_input(srcs) for srcs in sources]
     with ad.no_grad():
         enc_h = encode_batch(model.enc_cfg, model.params, inputs)
@@ -563,7 +577,7 @@ class TestBatchedGeneration:
         enc_h = random_memory(np.random.default_rng(93), n=6)
         calls = []
         monkeypatch.setattr(dec, "_step", lambda *args, **kw: calls.append(args))
-        for sizes in ([3, 3, 3, 3], [3, 4], [3, 0], []):
+        for sizes in ([3, 3, 3, 3], [3, 4], [3, 0], [], [6, 0], [7, -1], [0, 6]):
             with pytest.raises(ContractError):
                 dec.generate_beams(CFG, params, enc_h, sizes, 2, 4)
         with pytest.raises(ContractError):

@@ -223,7 +223,7 @@ class TestPretrainLosses:
     ], ids=["ragged", "ragged-targets", "one-edgeless", "one-edgeless-targets",
             "no-masked-edge", "no-masked-edge-targets", "single"])
     def test_matches_per_graph_oracle(self, sizes, edgeless, targets):
-        """One padded pass scores each graph as its own encode does: the loss
+        """One batched pass scores each graph as its own encode does: the loss
         and every gradient match the per-graph composition."""
         params = build_pretrain_params(seed=5)
         rng = np.random.default_rng(11)

@@ -1,6 +1,6 @@
 """Config/presets, training-loop contracts (zero-epoch identity, determinism,
 NaN abort with last-good checkpoint), warm starts, evaluation helpers, and
-the padded mini-batch pass against the per-graph path."""
+the batched mini-batch pass against the per-graph path."""
 
 import dataclasses
 import functools
@@ -389,7 +389,7 @@ class TestCheckpointContract:
 
 
 # ---------------------------------------------------------------------------
-# the padded mini-batch pass
+# the batched mini-batch pass
 
 
 def random_graph(rng, n, n_labels=3, n_edge_types=2):
@@ -535,7 +535,7 @@ class TestBatchedPass:
         batched = loss_and_grads(model.params, lambda: model.batch_loss(inputs, targets))
         per_graph = loss_and_grads(model.params, lambda: mean_of([l1_mean(
             property_forward(model.params, readout_cls(encode(model.enc_cfg, model.params, g),
-                                                       g.n)), t)
+                                                       [g.n])), t)
             for g, t in zip(inputs, targets)]))
         assert_close(batched, per_graph)
 
@@ -585,8 +585,8 @@ class TestBatchedPass:
         for partner in ((1, 0), (2, 1), (7, 5), (3, 6)):
             assert abs(graph_a_loss(*partner) - alone) <= 1e-12
 
-        # every embedded row of a padded batch: padding rows get exactly zero
-        # gradient, real rows do not
+        # a ragged batch embeds its real rows only, packed: no <PAD> id reaches
+        # either embedding, and every embedded row gets a gradient
         embedded = []
         gather = ad.embedding_gather
 
@@ -600,15 +600,16 @@ class TestBatchedPass:
         srcs, batches = translation_pairs(model, rng, (2, 6, 3), (5, 1, 0))
         ad.backward(model.batch_loss(srcs, batches))
         assert len(embedded) == 2
+        (enc_rows, enc_ids), (dec_rows, dec_ids) = embedded
+        assert len(enc_ids) == sum(g.n for g in srcs)
+        assert len(dec_ids) == sum(2 * b.k + 1 for b in batches)
         for rows, ids in embedded:
-            padding = ids == gm.TOK_PAD
-            assert padding.any()
-            assert not rows.grad[padding].any()
-            assert np.abs(rows.grad[~padding]).sum(axis=1).all()
+            assert not (ids == gm.TOK_PAD).any()
+            assert np.abs(rows.grad).sum(axis=1).all()
 
     def test_evaluate_property_matches_per_graph_predict(self, tmp_path):
         path = tmp_path / "prop.jsonl"
-        # more graphs than one padded pass takes, of 1 to 12 nodes
+        # more graphs than one batched pass takes, of 1 to 12 nodes
         write_jsonl(path, gen_property_dataset(tr.PREDICT_BATCH + 6, seed=3, max_nodes=12))
         data = load_dataset(path)
         graphs, tasks = data.graphs, sorted(data.graphs[0].properties)
