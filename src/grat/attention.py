@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import CapacityError, ContractError
+from .errors import CapacityError, ContractError, is_int, require
 from .graph import Graph, NO_BOND, pad_graphs
 from .nn import affine, init_affine, init_embedding, init_layer_norm, positional_encoding
 
@@ -47,9 +47,14 @@ class EncoderConfig:
     node_feature_dim: int = 0
 
     def __post_init__(self):
-        for name in ("layers", "heads", "width", "ff_width", "cond_hidden", "max_context"):
-            if getattr(self, name) <= 0:
-                raise ContractError(f"EncoderConfig.{name} must be positive")
+        for name, low in (("layers", 1), ("heads", 1), ("width", 1), ("ff_width", 1),
+                          ("cond_hidden", 1), ("max_context", 1), ("node_feature_dim", 0)):
+            value = getattr(self, name)
+            require(is_int(value) and value >= low, f"EncoderConfig.{name}",
+                    f"an integer >= {low}", value)
+        for name in ("use_positional_encoding", "neighbor_only"):
+            value = getattr(self, name)
+            require(isinstance(value, bool), f"EncoderConfig.{name}", "true or false", value)
         if self.width % self.heads:
             raise ContractError(f"width {self.width} not divisible by heads {self.heads}")
 
@@ -119,13 +124,12 @@ def project_keys_values(params: dict[str, Tensor], base: str, source: Tensor
 def multi_head_film_attention(cfg, params: dict[str, Tensor], base: str, x: Tensor,
                               gamma: Tensor | None = None, beta: Tensor | None = None,
                               mask: np.ndarray | None = None,
-                              kv: tuple[Tensor, Tensor] | None = None,
-                              sizes: tuple[np.ndarray, np.ndarray] | None = None
+                              kv: tuple[Tensor, Tensor] | None = None, *,
+                              sizes: tuple[list[int], list[int]]
                               ) -> tuple[Tensor, np.ndarray]:
     """All heads of one layer as one op; the (gamma, beta) pair is shared
-    across heads. Returns the output rows and the weights, (heads, n, nk),
-    or (B, heads, n, nk) for a batch of sequences (see
-    ad.multi_head_attention, which also says how sizes packs the rows).
+    across heads. Returns the output rows and the (B, heads, n, nk) weights
+    of the B sequences that sizes packs (ad.multi_head_attention).
 
     Queries come from x; keys and values from x itself, unless kv holds
     them already projected (the encoder output for cross-attention, or
@@ -133,7 +137,7 @@ def multi_head_film_attention(cfg, params: dict[str, Tensor], base: str, x: Tens
     """
     q = affine(params, f"{base}.q", x)
     k, v = kv or project_keys_values(params, base, x)
-    out, weights = ad.multi_head_attention(q, k, v, cfg.heads, gamma, beta, mask, sizes)
+    out, weights = ad.multi_head_attention(q, k, v, cfg.heads, gamma, beta, mask, sizes=sizes)
     return affine(params, f"{base}.o", out), weights
 
 
@@ -171,7 +175,7 @@ def encode_batch(cfg: EncoderConfig, params: dict[str, Tensor], graphs: list[Gra
         if width != cfg.node_feature_dim:
             raise ContractError(f"encoder expects node features of width "
                                 f"{cfg.node_feature_dim}, graph has width {width}")
-    sizes = np.array([g.n for g in graphs])
+    sizes = [g.n for g in graphs]
     labels, edges = pad_graphs(graphs)
     _, real = ad.packed_rows(sizes)
     x = ad.embedding_gather(params[f"{prefix}.embed"], labels[real])

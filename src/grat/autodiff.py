@@ -399,88 +399,73 @@ def packed_rows(sizes, width: int | None = None) -> tuple[np.ndarray, np.ndarray
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
                          gamma: Tensor | None = None, beta: Tensor | None = None,
-                         mask: np.ndarray | None = None,
-                         sizes: tuple[Sequence[int], Sequence[int]] | None = None
+                         mask: np.ndarray | None = None, *,
+                         sizes: tuple[Sequence[int], Sequence[int]]
                          ) -> tuple[Tensor, np.ndarray]:
     """All heads of edge-modulated scaled dot-product attention as one op,
     over a batch of B independent sequences.
 
     Per sequence and head, weights = softmax((gamma*QK^T + beta)/sqrt(dk)),
-    with gamma, beta and mask (B, n, nk) shared by every head; (n, nk), or
-    no gamma, mask or sizes, is B = 1. With gamma and beta both None the
-    modulation is skipped. Masked weights are exactly 0 and a fully masked
-    row is a zero row. The backward is written from the saved weights.
+    with gamma, beta and mask (B, n, nk) shared by every head. With gamma
+    and beta both None the modulation is skipped. Masked weights are exactly
+    0 and a fully masked row is a zero row. The backward is written from the
+    saved weights.
 
-    Dense (sizes None): q is (B*n, heads*dk), k (B*nk, heads*dk) and v
-    (B*nk, heads*dv); sequence b owns rows b*n.. of q and b*nk.. of k and v,
-    each viewed as (heads, rows, d).
-
-    Packed: sizes = (query sizes, key sizes), one pair per sequence, and
-    q, k and v hold only the real rows, back to back (packed_rows), which
-    are a prefix of each sequence: sequence b's queries are query position
-    0..sizes[0][b]-1 of the (B, n, nk) grid, and likewise its keys. The op
-    puts the rows into a zero grid, masks every padding row and column, and
-    returns the output, and takes the q/k/v gradients, at the real rows
+    sizes = (query sizes, key sizes), one pair per sequence, as lists of
+    ints. q (query rows, heads*dk), k (key rows, heads*dk) and v (key rows,
+    heads*dv) hold only the real rows, back to back (packed_rows), which are
+    a prefix of each sequence: sequence b's queries are query position
+    0..sizes[0][b]-1 of the (B, n, nk) grid, and likewise its keys. A
+    sequence may have no query rows; its keys then get zero gradient. The
+    op puts the rows into a zero grid, masks every padding row and column,
+    and returns the output, and takes the q/k/v gradients, at the real rows
     only; gamma, beta and the weights keep the grid's shape. n and nk are
     gamma's or mask's last two extents, or else the largest sizes. Sizes
-    that fill the grid pad nothing, and the rows run as the dense form.
+    that fill the grid pad nothing, and the rows run on it as they are.
 
-    Returns the (q rows, heads*dv) output and the weights, (B, heads, n,
-    nk), or (heads, n, nk) when gamma or mask is 2-d, or when the dense form
-    has neither.
+    Returns the (query rows, heads*dv) output and the (B, heads, n, nk)
+    weights.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
-    pairs = gamma.data if gamma is not None else mask
-    lead = np.shape(pairs)[:-2] if pairs is not None else ()
     (rows, width), key_rows = q.data.shape, k.data.shape[0]
     if k.data.shape[1] != width or width % heads:
         raise DimensionError(f"attention: query {q.data.shape} and key {k.data.shape} "
                              f"widths do not split into {heads} equal heads")
     if v.data.shape[0] != key_rows or v.data.shape[1] % heads:
         raise DimensionError(f"attention: {v.data.shape} values for {k.data.shape} keys")
-    if sizes is None:
-        batch = lead[0] if lead else 1
-        if len(lead) > 1 or rows % batch or key_rows % batch:
-            raise DimensionError(f"attention: {rows} query and {key_rows} key rows do not "
-                                 f"split into {batch} sequences")
-        n, nk = rows // batch, key_rows // batch
-    else:
-        q_sizes, k_sizes = (np.asarray(s, dtype=np.int64) for s in sizes)
-        batch = len(q_sizes)
-        if pairs is None:
-            lead = (batch,)
-            n, nk = q_sizes.max(initial=0), k_sizes.max(initial=0)
-        else:
-            n, nk = np.shape(pairs)[-2:]
-        if (len(k_sizes) != batch or lead not in ((batch,), ()) or (not lead and batch != 1)
-                or q_sizes.sum() != rows or k_sizes.sum() != key_rows
-                or q_sizes.min(initial=0) < 0 or q_sizes.max(initial=0) > n
-                or k_sizes.min(initial=0) < 0 or k_sizes.max(initial=0) > nk):
-            raise DimensionError(f"attention: {rows} query and {key_rows} key rows do not "
-                                 f"pack as sizes {q_sizes.tolist()} and {k_sizes.tolist()} "
-                                 f"into {batch} sequences of {n} and {nk} rows")
-    # sizes that fill the grid leave nothing to pad: the packed rows are dense
-    packed = sizes is not None and (rows != batch * n or key_rows != batch * nk)
-    pair_shape = lead + (n, nk)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
+    mask = None if mask is None else np.asarray(mask, dtype=bool)
+    # builtins, not numpy: generation calls this per layer and step on short lists
+    q_sizes, k_sizes = sizes
+    batch = len(q_sizes)
+    paired = batch and len(k_sizes) == batch
+    q_top, k_top = (max(q_sizes), max(k_sizes)) if paired else (0, 0)
+    pairs = gamma.data if gamma is not None else mask
+    n, nk = (q_top, k_top) if pairs is None else pairs.shape[-2:]
+    if (not paired or sum(q_sizes) != rows or sum(k_sizes) != key_rows or min(q_sizes) < 0
+            or min(k_sizes) < 0 or q_top > n or k_top > nk):
+        raise DimensionError(f"attention: {rows} query and {key_rows} key rows do not "
+                             f"pack as sizes {list(q_sizes)} and {list(k_sizes)} "
+                             f"into {batch} sequences of {n} and {nk} rows")
     for name, shape in (("gamma", gamma is not None and gamma.data.shape),
                         ("beta", beta is not None and beta.data.shape),
                         ("mask", mask is not None and mask.shape)):
-        if shape and shape != pair_shape:
-            raise DimensionError(f"attention: {name} shape {shape} != {pair_shape}")
+        if shape and shape != (batch, n, nk):
+            raise DimensionError(f"attention: {name} shape {shape} != {(batch, n, nk)}")
+    # sizes that fill the grid leave nothing to pad
+    packed = rows != batch * n or key_rows != batch * nk
     if not packed:
         qd, kd, vd = q.data, k.data, v.data
     else:
         real_q, real_k = packed_rows(q_sizes, n)[1], packed_rows(k_sizes, nk)[1]
-        real = (real_q[:, :, None] & real_k[:, None, :]).reshape(pair_shape)
+        real = real_q[:, :, None] & real_k[:, None, :]
         mask = real if mask is None else mask & real
         q_at, k_at = np.flatnonzero(real_q), np.flatnonzero(real_k)
         qd, kd, vd = (np.zeros((batch * extent, t.data.shape[1])) for extent, t in
                       ((n, q), (nk, k), (nk, v)))
         qd[q_at], kd[k_at], vd[k_at] = q.data, k.data, v.data
     scale = 1.0 / np.sqrt(width // heads)
-    qh, kh, vh = (data.reshape(batch, extent, heads, -1).transpose(0, 2, 1, 3)
+    # explicit head widths: -1 cannot be inferred for a grid without query rows
+    qh, kh, vh = (data.reshape(batch, extent, heads, data.shape[1] // heads).transpose(0, 2, 1, 3)
                   for data, extent in ((qd, n), (kd, nk), (vd, nk)))
     logits = qh @ kh.transpose(0, 1, 3, 2)
     scales = None if gamma is None else gamma.data.reshape(batch, 1, n, nk)
@@ -491,7 +476,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         if packed:
             g, rows_g = np.zeros((batch * n, g.shape[1])), g
             g[q_at] = rows_g
-        gh = g.reshape(batch, n, heads, -1).transpose(0, 2, 1, 3)
+        gh = g.reshape(batch, n, heads, g.shape[1] // heads).transpose(0, 2, 1, 3)
         dweights = gh @ vh.transpose(0, 1, 3, 2)
         dmod = (dweights - (dweights * weights).sum(axis=-1, keepdims=True)) * weights * scale
         dlogits = dmod if gamma is None else dmod * scales
@@ -510,10 +495,10 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
             _accumulate(beta, dmod.sum(axis=1).reshape(beta.data.shape))
 
     parents = (q, k, v) if gamma is None else (q, k, v, gamma, beta)
-    out = (weights @ vh).transpose(0, 2, 1, 3).reshape(batch * n, -1)
+    out = (weights @ vh).transpose(0, 2, 1, 3).reshape(batch * n, v.data.shape[1])
     if packed:
         out = out[q_at]
-    return _make(out, parents, bwd), weights.reshape(lead + weights.shape[1:])
+    return _make(out, parents, bwd), weights
 
 
 def log_softmax_rows(x: Tensor) -> Tensor:

@@ -38,12 +38,12 @@ One search serves R requests at once (generate_beams; generate_beam is its
 batch of one): the live set holds the hypotheses of every request, which all
 start together and so share a node count. In self-attention each hypothesis
 is one sequence of the batch axis; in cross-attention each request is one,
-its hypotheses' pending rows attending to its own packed encoder rows. With
-one request that is the dense op, the unbatched arithmetic. The live set is
+its hypotheses' pending rows attending to its own packed encoder rows; a
+finished request stays a sequence there, with no query rows. The live set is
 a handful of arrays over hypotheses (labels, edges, scores, node cache),
-grouped by request, that survivors index by parent. Ranking is per request,
-and ties break in creation order, kept by stable sorts rather than by
-numbering the candidates.
+grouped by request, that survivors index by parent, and one count of live
+hypotheses per request. Ranking is per request, and ties break in creation
+order, kept by stable sorts rather than by numbering the candidates.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import CapacityError, ContractError
+from .errors import CapacityError, ContractError, is_int, require
 from .graph import (Graph, NO_BOND, SELF, VIRTUAL, N_RESERVED_EDGES, N_RESERVED_LABELS,
                     TOK_EOG, TOK_G, pad_graphs)
 from .nn import affine, init_affine, init_embedding, init_layer_norm, positional_encoding
@@ -84,8 +84,9 @@ class DecoderConfig:
     def __post_init__(self):
         for name in ("layers", "heads", "width", "ff_width", "cond_hidden",
                      "pair_width", "fe_hidden", "max_context"):
-            if getattr(self, name) <= 0:
-                raise ContractError(f"DecoderConfig.{name} must be positive")
+            value = getattr(self, name)
+            require(is_int(value) and value >= 1, f"DecoderConfig.{name}", "an integer >= 1",
+                    value)
         if self.width % self.heads:
             raise ContractError(f"width {self.width} not divisible by heads {self.heads}")
 
@@ -211,29 +212,25 @@ def _cross_keys_values(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h:
 
 def _layers(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[Tensor, Tensor]],
             x: Tensor, edge_matrix: np.ndarray, mask: np.ndarray,
-            cached: list[np.ndarray] | None = None, sizes: np.ndarray | None = None,
-            cross_sizes: tuple[np.ndarray, np.ndarray] | None = None
-            ) -> tuple[Tensor, list[np.ndarray]]:
+            sizes: tuple[list[int], list[int]], cross_sizes: tuple[list[int], list[int]],
+            cached: list[np.ndarray] | None = None) -> tuple[Tensor, list[np.ndarray]]:
     """The decoder stack over the input rows x; returns the output rows and,
     with cached, each layer's self-attention keys and values of those rows
     (2L arrays). cross_kv is _cross_keys_values's output.
 
-    edge_matrix and mask are (B, rows, keys), one grid per sequence:
-    sequence b's rows attend only to its own keys. With sizes, x holds the
-    first sizes[b] rows of each sequence, packed back to back, and the keys
-    are the sequence's own rows (ad.multi_head_attention). Without sizes, x
-    holds B sequences of equal row count. Without cached, the keys are the
-    sequence's own rows. With cached (per layer, the keys then the values of
-    c earlier rows, (B, c, width) arrays), sequence b's keys are its c cached
-    rows, then its own rows; the cached rows carry no gradient, so that path
-    is for inference only.
+    x holds B sequences' rows packed back to back, and edge_matrix and mask
+    are (B, rows, keys), one grid per sequence: in self-attention, sequence
+    b's sizes[0][b] rows attend only to its own sizes[1][b] keys
+    (ad.multi_head_attention). Without cached, the keys are the sequence's
+    own rows. With cached (per layer, the keys then the values of c earlier
+    rows, (B, c, width) arrays), every sequence has the same row count and
+    sequence b's keys are its c cached rows, then its own rows; the cached
+    rows carry no gradient, so that path is for inference only.
 
     Cross-attention runs per sequence of cross_sizes, (query rows of x,
-    encoder rows of cross_kv) each, both packed; without cross_sizes every
-    row of x sees every encoder row.
+    encoder rows of cross_kv) each, both packed.
     """
     gammas, betas = edge_gamma_beta(params, "dec.cond", edge_matrix, cfg.layers)
-    self_sizes = None if sizes is None else (sizes, sizes)
     projected = []
     for i in range(cfg.layers):
         base = f"dec.l{i}"
@@ -245,7 +242,7 @@ def _layers(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[
             kv = tuple(Tensor(np.concatenate([old, rows.reshape(groups, -1, width)], axis=1)
                               .reshape(-1, width)) for old, rows in zip(cached[2 * i:], new))
         attn, _ = multi_head_film_attention(cfg, params, f"{base}.self", x, gammas[i], betas[i],
-                                            mask, kv=kv, sizes=self_sizes)
+                                            mask, kv=kv, sizes=sizes)
         x = ad.layer_norm(x, params[f"{base}.ln1.g"], params[f"{base}.ln1.b"], residual=attn)
         cross, _ = multi_head_film_attention(cfg, params, f"{base}.cross", x, kv=cross_kv[i],
                                              sizes=cross_sizes)
@@ -289,9 +286,9 @@ def decode_batch(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tenso
     """
     n_graphs = len(batches)
     _check_encoder_sizes(encoder_h, encoder_sizes, n_graphs)
-    lengths = np.array([2 * b.k + 1 for b in batches])
-    if lengths.max() > cfg.max_context:
-        raise CapacityError(f"decoder sequence length {lengths.max()} exceeds {cfg.max_context}")
+    lengths = [2 * b.k + 1 for b in batches]
+    if max(lengths) > cfg.max_context:
+        raise CapacityError(f"decoder sequence length {max(lengths)} exceeds {cfg.max_context}")
     tokens, edge_matrix, mask = _layout(*pad_graphs([b.target for b in batches]))
     starts, real = ad.packed_rows(lengths)
     tokens = tokens[real]
@@ -300,7 +297,7 @@ def decode_batch(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tenso
     if input_offsets is not None:
         x = ad.add(x, Tensor(input_offsets))
     x, _ = _layers(cfg, params, _cross_keys_values(cfg, params, encoder_h), x,
-                   edge_matrix, mask, sizes=lengths, cross_sizes=(lengths, encoder_sizes))
+                   edge_matrix, mask, (lengths, lengths), (lengths, encoder_sizes))
 
     gen_rows = np.flatnonzero(tokens == TOK_G)      # the <G> positions, in order
     node_logits = affine(params, "dec.fl", ad.embedding_gather(x, gen_rows))
@@ -373,7 +370,7 @@ def _check_max_nodes(cfg: DecoderConfig, max_nodes: int):
 
 def _step(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[Tensor, Tensor]],
           labels: np.ndarray, edges: np.ndarray, cache: list[np.ndarray],
-          starts: list[int], key_sizes: list[int]
+          counts: list[int], key_sizes: list[int]
           ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Decode the pending rows of h live hypotheses of m nodes in one pass.
 
@@ -383,12 +380,13 @@ def _step(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[Te
     pending. Each hypothesis is one sequence of the self-attention batch:
     its pending rows, node m and the next <G>, attend to its cached node
     keys, then its own pending rows. Hypotheses are grouped by request,
-    request r's starting at starts[r], and each request is one sequence of
+    counts[r] of them for request r, and each request is one sequence of
     cross-attention: its hypotheses' pending rows attend to its own
-    key_sizes[r] encoder rows, packed in request order in cross_kv. One
-    request is the dense op, with no padding to mask. Returns the next
-    label's log-probs (h, labels), the edge-class log-probs against nodes
-    1..m (h, m, classes), and the cache extended by node m.
+    key_sizes[r] encoder rows, packed in request order in cross_kv; a
+    finished request has no hypotheses, so no rows attend to its encoder
+    rows. Returns the next label's log-probs (h, labels), the edge-class
+    log-probs against nodes 1..m (h, m, classes), and the cache extended by
+    node m.
     """
     n_hyp, m = labels.shape
     pos = np.arange(max(2 * m - 1, 0), 2 * m + 1)      # pending positions
@@ -398,11 +396,9 @@ def _step(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[Te
     grid = (slice(None), pos[:, None], keys)
     x = ad.embedding_gather(params["dec.embed"], tokens[:, pos].reshape(-1))
     x = ad.add(x, Tensor(np.tile(positional_encoding(2 * m + 1, cfg.width)[pos], (n_hyp, 1))))
-    cross_sizes = None
-    if len(starts) > 1:
-        cross_sizes = np.diff(starts, append=n_hyp) * n_pos, key_sizes
     x, projected = _layers(cfg, params, cross_kv, x, edge_matrix[grid], mask[grid],
-                           cache[:-1], cross_sizes=cross_sizes)
+                           ([n_pos] * n_hyp, [len(keys)] * n_hyp),
+                           ([count * n_pos for count in counts], key_sizes), cache[:-1])
     label_lp = ad.log_softmax_rows(affine(params, "dec.fl", x[n_pos - 1::n_pos])).data
     if m == 0:
         return label_lp, np.zeros((n_hyp, 0, 0)), cache
@@ -467,14 +463,14 @@ def generate_beams(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Ten
     The live set is held as arrays over the hypotheses of all requests,
     grouped by request: labels (h, m), edges (h, m, m), scores (h,) and
     _step's per-layer node cache; a surviving child takes its parent's row
-    of each (a[parents]). live lists the requests that still have
-    hypotheses and starts the first hypothesis of each. All requests start
-    together, so every live hypothesis has m nodes. Each step decodes only
-    the pending rows of all live hypotheses, in one batched pass (_step): a
-    node's per-layer states are final once it is chosen, since node
-    positions never attend to <G> and the mask is causal. Ranking, the
-    room left in the beam and the finished graphs are per request, and a
-    request leaves the live set when it has no survivors.
+    of each (a[parents]). counts holds each request's number of live
+    hypotheses, 0 once it has no survivors; its encoder rows stay in
+    cross-attention with no query rows. All requests start together, so
+    every live hypothesis has m nodes. Each step decodes only the pending
+    rows of all live hypotheses, in one batched pass (_step): a node's
+    per-layer states are final once it is chosen, since node positions
+    never attend to <G> and the mask is causal. Ranking, the room left in
+    the beam and the finished graphs are per request.
     """
     if width < 1:
         raise ContractError("beam width must be >= 1")
@@ -483,8 +479,7 @@ def generate_beams(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Ten
     _check_encoder_sizes(encoder_h, encoder_sizes, n_req)
     allowed = _allowed_labels(params["dec.embed"].shape[0])
     choices = np.flatnonzero(allowed)           # <EOG> first, then the real labels
-    # the requests with live hypotheses, and the first hypothesis of each
-    live, starts = list(range(n_req)), list(range(n_req))
+    counts = [1] * n_req
     labels = np.zeros((n_req, 0), dtype=np.int64)
     edges = np.zeros((n_req, 0, 0), dtype=np.int64)
     scores = np.zeros(n_req)
@@ -492,20 +487,21 @@ def generate_beams(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Ten
              + [np.zeros((n_req, 0, cfg.pair_width))])
     finished: list[list[GeneratedGraph]] = [[] for _ in range(n_req)]
     with ad.no_grad():
-        all_kv = cross_kv = _cross_keys_values(cfg, params, encoder_h)
+        cross_kv = _cross_keys_values(cfg, params, encoder_h)
         while True:
             label_lp, edge_lp, cache = _step(cfg, params, cross_kv, labels, edges, cache,
-                                             starts, [encoder_sizes[r] for r in live])
+                                             counts, encoder_sizes)
             full = labels.shape[1] == max_nodes
             ids = choices[:1] if full else choices
             configs = [] if full else _edge_config_beam(edge_lp, width)
             selection = scores[:, None] + label_lp[:, ids]
             survivors = []   # (parent, label, edge classes, score), grouped by request
-            kept, kept_starts = [], []
-            for r, lo, hi in zip(live, starts, starts[1:] + [len(scores)]):
+            lo = 0
+            for r, count in enumerate(counts):
                 first = len(survivors)
                 room = width
-                for flat in np.argsort(-selection[lo:hi], axis=None, kind="stable").tolist():
+                for flat in np.argsort(-selection[lo:lo + count], axis=None,
+                                       kind="stable").tolist():
                     h, j = divmod(flat, len(ids))
                     h += lo
                     if ids[j] == TOK_EOG:
@@ -521,9 +517,8 @@ def generate_beams(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Ten
                         room -= len(picked)
                     if not room:
                         break
-                if len(survivors) > first:
-                    kept.append(r)
-                    kept_starts.append(first)
+                lo += count
+                counts[r] = len(survivors) - first
             if not survivors:
                 break
             parents, new_labels, classes, new_scores = zip(*survivors)
@@ -532,10 +527,6 @@ def generate_beams(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Ten
             edges = _extend_edges(edges[parents], np.array(classes, dtype=np.int64))
             scores = np.array(new_scores)
             cache = [rows[parents] for rows in cache]
-            if len(kept) < len(live):    # drop the finished requests' encoder rows
-                rows = np.repeat(np.isin(np.arange(n_req), kept), encoder_sizes)
-                cross_kv = [tuple(Tensor(t.data[rows]) for t in kv) for kv in all_kv]
-            live, starts = kept, kept_starts
     for results in finished:
         results.sort(key=lambda result: -result.score)
     return [results[:width] for results in finished]

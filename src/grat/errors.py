@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and the type and range
+checks of configuration values.
 
 CLI exit-code mapping: usage errors -> 1, DataError/CheckpointError and
 files that cannot be read or written (OSError) -> 2, NumericError -> 3.
 """
+
+import math
 
 
 class GratError(Exception):
@@ -43,3 +46,20 @@ class CheckpointError(GratError):
 
 class NumericError(GratError):
     """Non-finite values where finite numbers are required (NaN loss/grads)."""
+
+
+def is_int(value) -> bool:
+    """An int and not a bool (JSON's true and false load as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A finite int or float and not a bool."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def require(ok: bool, key: str, expect: str, value):
+    """ContractError naming the configuration key unless ok."""
+    if not ok:
+        raise ContractError(f"{key} must be {expect}, got {value!r}")

@@ -17,10 +17,11 @@ from .attention import EncoderConfig, encode_batch, init_encoder_params, readout
 from .attention import encode  # TranslationModel.generate; perfbench's tracer wraps this site
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import GraphDataset, TranslationDataset, load_dataset, split_indices
-from .decoder import (DecoderBatch, DecoderConfig, GeneratedGraph, build_decoder_batch,
-                      decode_batch, generate_beam, generate_beams, init_decoder_params,
-                      n_edge_classes)
-from .errors import CheckpointError, ContractError, DataError, NumericError
+from .decoder import (DecoderBatch, DecoderConfig, GeneratedGraph, _check_max_nodes,
+                      build_decoder_batch, decode_batch, generate_beam, generate_beams,
+                      init_decoder_params, n_edge_classes)
+from .errors import (CheckpointError, ContractError, DataError, NumericError, is_int,
+                     is_number, require)
 from .graph import (Graph, EdgeTypeVocab, NodeLabelVocab, TOK_CLS, TOK_REACTANT,
                     VIRTUAL, concat_graphs, prepend_token)
 from .objectives import (MetricReport, cross_entropy_mean, exact_match,
@@ -90,17 +91,41 @@ class RunConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ContractError(f"unknown task {self.task!r}; expected one of {TASKS}")
-        if self.preset not in PRESETS:
+        if not isinstance(self.preset, str) or self.preset not in PRESETS:
             raise ContractError(f"unknown preset {self.preset!r}")
         for name in ("batch_size", "head_hidden"):
             if getattr(self, name) is None:
                 setattr(self, name, PRESETS[self.preset][name])
         if self.selection not in ("val", "last"):
             raise ContractError(f"selection must be 'val' or 'last', got {self.selection!r}")
+        for name, low in (("seed", 0), ("epochs", 0), ("batch_size", 1), ("patience", 0),
+                          ("eval_every", 1), ("max_nodes", 1), ("head_hidden", 1)):
+            value = getattr(self, name)
+            require(is_int(value) and value >= low, name, f"an integer >= {low}", value)
+        require(self.max_steps is None or is_int(self.max_steps) and self.max_steps >= 1,
+                "max_steps", "an integer >= 1 or null", self.max_steps)
+        require(is_number(self.lr) and self.lr > 0, "lr", "a number > 0", self.lr)
+        require(is_number(self.mask_rate) and 0 < self.mask_rate < 1, "mask_rate",
+                "a number in (0, 1)", self.mask_rate)
+        require(self.em_stop is None or is_number(self.em_stop) and 0 <= self.em_stop <= 1,
+                "em_stop", "a number in [0, 1] or null", self.em_stop)
+        require(isinstance(self.pretrain_graph_level, bool), "pretrain_graph_level",
+                "true or false", self.pretrain_graph_level)
+        require(self.property_tasks is None or isinstance(self.property_tasks, list)
+                and all(isinstance(t, str) for t in self.property_tasks),
+                "property_tasks", "a list of names or null", self.property_tasks)
+        for name in ("data", "out_checkpoint", "init_checkpoint", "metrics_out"):
+            value = getattr(self, name)
+            optional = name in ("init_checkpoint", "metrics_out")
+            require(isinstance(value, str) or optional and value is None, name, "a path", value)
         for section, known in (("encoder", EncoderConfig), ("decoder", DecoderConfig)):
-            unknown = set(getattr(self, section)) - {f.name for f in dataclasses.fields(known)}
+            overrides = getattr(self, section)
+            require(isinstance(overrides, dict), section, "an object", overrides)
+            unknown = set(overrides) - {f.name for f in dataclasses.fields(known)}
             if unknown:
                 raise DataError(f"unknown {section} config keys {sorted(unknown)}")
+        self.encoder_config()    # the encoder and decoder configs check their own values
+        self.decoder_config()
 
     def encoder_config(self) -> EncoderConfig:
         fields = dict(PRESETS[self.preset]["encoder"])
@@ -123,6 +148,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     unknown = set(raw) - known
     if unknown:
         raise DataError(f"unknown config keys {sorted(unknown)}")
+    if "task" not in raw:
+        raise ContractError(f"run config names no task; expected one of {TASKS}")
     return RunConfig(**raw)
 
 
@@ -294,6 +321,10 @@ def evaluate_property(model: PropertyModel, graphs: list[Graph]) -> MetricReport
     """Per-task MAE in raw units plus the stdMAE/logMAE aggregates."""
     if not graphs:
         raise ContractError("evaluate_property on an empty split")
+    for i, g in enumerate(graphs):
+        for task in model.tasks:
+            if task not in (g.properties or {}):
+                raise DataError(f"graph {i} has no value for task {task!r}")
     errors = {task: [] for task in model.tasks}
     for g, preds in zip(graphs, model.predict_batch(graphs)):
         for task in model.tasks:
@@ -492,11 +523,13 @@ def train(cfg: RunConfig):
 
 
 def _translation_task(cfg: RunConfig) -> _Task:
+    dec_cfg = cfg.decoder_config()
+    _check_max_nodes(dec_cfg, cfg.max_nodes)    # the report decodes up to max_nodes
     data = load_dataset(cfg.data)
     if not isinstance(data, TranslationDataset):
         raise DataError("translate task needs src/tgt records")
     split = split_indices(len(data.pairs), cfg.seed)
-    model = TranslationModel.build(cfg.encoder_config(), cfg.decoder_config(),
+    model = TranslationModel.build(cfg.encoder_config(), dec_cfg,
                                    data.label_vocab, data.edge_vocab, cfg.seed)
     prepared = [(model.source_input(srcs), build_decoder_batch(tgt))
                 for srcs, tgt in data.pairs]

@@ -12,7 +12,8 @@ built from the library's own elementary ops:
   - film_attention and multi_head_film_reference rebuild attention one head at
     a time from matmul, transpose, mul, add and softmax_rows, with the tape
     deriving the backward, to check the fused all-heads op and its hand-written
-    backward;
+    backward (attention_of_one calls that op on one sequence, in the
+    reference's shapes);
   - affine_reference and add_layer_norm_reference compose the fused affine and
     residual layer-norm ops from matmul, add and the plain layer norm;
   - edge_gamma_beta_per_pair runs the FiLM conditioner MLP on every node pair,
@@ -243,6 +244,19 @@ def multi_head_film_reference(q: Tensor, k: Tensor, v: Tensor, heads: int,
         outs.append(out)
         weights.append(w.data)
     return ad.concat(outs, axis=1), np.stack(weights)
+
+
+def attention_of_one(q: Tensor, k: Tensor, v: Tensor, heads: int,
+                     gamma: Tensor | None = None, beta: Tensor | None = None,
+                     mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """ad.multi_head_attention on one sequence, called as
+    multi_head_film_reference is: the (n, nk) pair arrays gain the op's
+    batch axis of one, and the (1, heads, n, nk) weights lose it."""
+    gamma, beta = (None if t is None else ad.reshape(t, (1,) + t.shape) for t in (gamma, beta))
+    out, weights = ad.multi_head_attention(q, k, v, heads, gamma, beta,
+                                           None if mask is None else np.asarray(mask)[None],
+                                           sizes=([q.shape[0]], [k.shape[0]]))
+    return out, weights[0]
 
 
 def affine_reference(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -15,7 +15,7 @@ from grat.autodiff import Tensor
 from grat.errors import CapacityError, ContractError, DimensionError
 from grat.graph import Graph, GraphPermutation, NO_BOND, SELF, TOK_CLS, VIRTUAL
 
-from oracles import (edge_gamma_beta_per_pair, finite_difference_grad,
+from oracles import (attention_of_one, edge_gamma_beta_per_pair, finite_difference_grad,
                      multi_head_film_reference, relative_error, softmax_row_highprec)
 
 CFG = EncoderConfig(layers=2, heads=2, width=8, ff_width=16, cond_hidden=4)
@@ -143,7 +143,7 @@ def fused_and_reference(rng, heads, nq, nk, film=True, mask=None, dk=3, dv=2):
                    Tensor(rng.normal(size=(nq, nk)), requires_grad=True)]
     upstream = Tensor(rng.normal(size=(nq, heads * dv)))
     results = []
-    for fn in (ad.multi_head_attention, multi_head_film_reference):
+    for fn in (attention_of_one, multi_head_film_reference):
         for t in inputs:
             t.grad = None
         out, weights = fn(*inputs[:3], heads, *inputs[3:], mask=mask)
@@ -170,12 +170,14 @@ class TestFilmAttention:
     def test_batch_matches_separate_calls(self, film):
         # a ragged batch: sequence b has sizes[b] queries and key_sizes[b] keys,
         # either padded to the longest with padding rows and columns masked
-        # (dense), or packed back to back with the sizes given (packed), where
-        # the op must mask the padding itself
+        # and sizes that fill the grid (padded), or packed back to back with
+        # the real sizes given (packed), where the op must mask the padding
+        # itself. The last sequence has keys but no queries, as a finished
+        # request has in batched generation.
         rng = np.random.default_rng(31)
         heads, dk, dv = 2, 3, 2
-        sizes, key_sizes = np.array([3, 5, 1]), np.array([4, 2, 6])
-        batch, n, nk = 3, sizes.max(), key_sizes.max()
+        sizes, key_sizes = np.array([3, 5, 1, 0]), np.array([4, 2, 6, 3])
+        batch, n, nk = 4, sizes.max(), key_sizes.max()
         real_q = np.arange(n) < sizes[:, None]
         real_k = np.arange(nk) < key_sizes[:, None]
         real = real_q[:, :, None] & real_k[:, None, :]
@@ -193,8 +195,7 @@ class TestFilmAttention:
             cell = (b, slice(0, sizes[b]), slice(0, key_sizes[b]))
             parts = [Tensor(a[part], requires_grad=True)
                      for a, part in zip(padded + pairs, (rows, keys, keys, cell, cell))]
-            out, weights = ad.multi_head_attention(*parts[:3], heads, *parts[3:],
-                                                   mask=structure[cell])
+            out, weights = attention_of_one(*parts[:3], heads, *parts[3:], mask=structure[cell])
             ad.backward(ad.sum_(ad.mul(out, Tensor(upstream[rows]))))
             alone.append((out.data, weights, [t.grad for t in parts]))
 
@@ -204,11 +205,11 @@ class TestFilmAttention:
                 q_rows, k_rows = real_q.reshape(-1), real_k.reshape(-1)
                 inputs = [Tensor(a[part], requires_grad=True)
                           for a, part in zip(padded, (q_rows, k_rows, k_rows))]
-                layout = {"mask": structure, "sizes": (sizes, key_sizes)}
+                layout = {"mask": structure, "sizes": (sizes.tolist(), key_sizes.tolist())}
                 row_starts, key_row_starts, loss_rows = starts, key_starts, upstream[q_rows]
             else:
                 inputs = [Tensor(a, requires_grad=True) for a in padded]
-                layout = {"mask": structure & real}
+                layout = {"mask": structure & real, "sizes": ([n] * batch, [nk] * batch)}
                 row_starts, key_row_starts = np.arange(batch) * n, np.arange(batch) * nk
                 loss_rows = upstream
             inputs += [Tensor(a, requires_grad=True) for a in pairs]
@@ -220,10 +221,14 @@ class TestFilmAttention:
                 rows = slice(row_starts[b], row_starts[b] + sizes[b])
                 keys = slice(key_row_starts[b], key_row_starts[b] + key_sizes[b])
                 cell = (b, slice(0, sizes[b]), slice(0, key_sizes[b]))
-                assert np.max(np.abs(out.data[rows] - alone_out)) < 1e-12
-                assert np.max(np.abs(weights[b][:, cell[1], cell[2]] - alone_weights)) < 1e-12
+                assert np.max(np.abs(out.data[rows] - alone_out), initial=0.0) < 1e-12
+                assert np.max(np.abs(weights[b][:, cell[1], cell[2]] - alone_weights),
+                              initial=0.0) < 1e-12
                 for t, part, single in zip(inputs, (rows, keys, keys, cell, cell), alone_grads):
-                    assert np.max(np.abs(t.grad[part] - single)) < 1e-12
+                    assert np.max(np.abs(t.grad[part] - single), initial=0.0) < 1e-12
+                if not sizes[b]:    # keys that no query reads learn nothing
+                    for t in inputs[1:3]:
+                        assert t.grad[keys].size and not t.grad[keys].any()
             # padding pairs get zero weight and, with padding rows and keys,
             # exactly zero gradient
             assert not weights.transpose(1, 0, 2, 3)[:, ~real].any()
@@ -236,10 +241,12 @@ class TestFilmAttention:
 
     def test_batch_shape_errors(self):
         q, k = Tensor(np.ones((6, 4))), Tensor(np.ones((4, 4)))
-        with pytest.raises(DimensionError):  # 4 key rows do not split into 3 sequences
-            ad.multi_head_attention(q, k, k, 2, mask=np.ones((3, 2, 1), dtype=bool))
-        with pytest.raises(DimensionError):  # mask disagrees with the row split
-            ad.multi_head_attention(q, k, k, 2, mask=np.ones((2, 2, 2), dtype=bool))
+        with pytest.raises(DimensionError):  # a 2-d mask has no batch axis
+            ad.multi_head_attention(q, k, k, 2, mask=np.ones((6, 4), dtype=bool),
+                                    sizes=([6], [4]))
+        with pytest.raises(DimensionError):  # the mask's batch is not the sizes'
+            ad.multi_head_attention(q, k, k, 2, mask=np.ones((3, 3, 2), dtype=bool),
+                                    sizes=([3, 3], [2, 2]))
         # packed: 5 query and 4 key rows of two sequences on a (2, 3, 3) grid
         q, grid = Tensor(np.ones((5, 4))), np.ones((2, 3, 3), dtype=bool)
         out, _ = ad.multi_head_attention(q, k, k, 2, mask=grid, sizes=([3, 2], [1, 3]))
@@ -250,7 +257,8 @@ class TestFilmAttention:
                       ([3, 2], [4, 0]),         # 4 keys exceed the grid's 3
                       ([6, -1], [1, 3]),        # a negative count
                       ([3, 2, 0], [1, 3, 0]),   # three sequences on a grid of two
-                      ([3, 2], [4])):           # one key count for two sequences
+                      ([3, 2], [4]),            # one key count for two sequences
+                      ([], [])):                # no sequences
             with pytest.raises(DimensionError):
                 ad.multi_head_attention(q, k, k, 2, mask=grid, sizes=sizes)
         with pytest.raises(DimensionError):     # no grid: counts must still sum
@@ -275,7 +283,7 @@ class TestFilmAttention:
         upstream = rng.normal(size=(3, 8))
 
         def loss():
-            out, _ = ad.multi_head_attention(q, k, v, 4, gamma, beta, mask)
+            out, _ = attention_of_one(q, k, v, 4, gamma, beta, mask)
             return ad.sum_(ad.mul(out, Tensor(upstream)))
 
         ad.backward(loss())
@@ -296,8 +304,8 @@ class TestFilmAttention:
             mask = rng.random((nq, nk)) > 0.2 if rng.random() < 0.5 else None
             ones = Tensor(np.ones((nq, nk)))
             zeros = Tensor(np.zeros((nq, nk)))
-            filmed, fw = ad.multi_head_attention(q, k, v, heads, ones, zeros, mask)
-            plain, pw = ad.multi_head_attention(q, k, v, heads, mask=mask)
+            filmed, fw = attention_of_one(q, k, v, heads, ones, zeros, mask)
+            plain, pw = attention_of_one(q, k, v, heads, mask=mask)
             assert np.array_equal(filmed.data, plain.data)
             assert np.array_equal(fw, pw)
 
@@ -308,7 +316,7 @@ class TestFilmAttention:
         v = Tensor(rng.normal(size=(3, 4)))
         mask = np.array([[False, True, False], [False, False, True]])
         ones, zeros = Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 3)))
-        out, _ = ad.multi_head_attention(q, k, v, 2, ones, zeros, mask)
+        out, _ = attention_of_one(q, k, v, 2, ones, zeros, mask)
         assert np.allclose(out.data[0], v.data[1], atol=0)
         assert np.allclose(out.data[1], v.data[2], atol=0)
 
@@ -318,7 +326,7 @@ class TestFilmAttention:
         v = Tensor(np.eye(3))
         gamma = Tensor([[1.5, 1.0, 0.5], [2.0, 1.0, 1.0]])
         beta = Tensor([[0.1, -0.2, 0.0], [0.0, 0.3, -0.1]])
-        _, weights = ad.multi_head_attention(q, k, v, 1, gamma, beta)
+        _, weights = attention_of_one(q, k, v, 1, gamma, beta)
         logits = q.data @ k.data.T
         modulated = (gamma.data * logits + beta.data) / np.sqrt(2.0)
         for r in range(2):
@@ -328,11 +336,11 @@ class TestFilmAttention:
     def test_heads_must_split_the_widths(self):
         q, k = Tensor(np.ones((2, 6))), Tensor(np.ones((3, 6)))
         with pytest.raises(DimensionError):
-            ad.multi_head_attention(q, k, Tensor(np.ones((3, 6))), 4)
+            attention_of_one(q, k, Tensor(np.ones((3, 6))), 4)
         with pytest.raises(DimensionError):
-            ad.multi_head_attention(q, k, Tensor(np.ones((3, 5))), 2)
+            attention_of_one(q, k, Tensor(np.ones((3, 5))), 2)
         with pytest.raises(DimensionError):
-            ad.multi_head_attention(q, k, Tensor(np.ones((2, 6))), 2)
+            attention_of_one(q, k, Tensor(np.ones((2, 6))), 2)
 
 
 class TestNeighborMask:

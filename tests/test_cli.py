@@ -159,6 +159,30 @@ class TestTrainEval:
         assert captured.out == ""
         assert captured.err == f"grat: unknown config keys ['{key}']\n"
 
+    @pytest.mark.parametrize("change, code", [
+        ({"batch_size": 0}, 1), ({"batch_size": 2.5}, 1), ({"batch_size": True}, 1),
+        ({"eval_every": 0}, 1), ({"seed": -1}, 1), ({"seed": "x"}, 1),
+        ({"lr": "0.001"}, 1), ({"lr": -0.1}, 1), ({"epochs": "3"}, 1),
+        ({"patience": None}, 1), ({"em_stop": 5}, 1), ({"mask_rate": 2}, 1),
+        ({"max_steps": 0}, 1), ({"max_steps": -3}, 1), ({"data": 5}, 1),
+        ({"encoder": {"layers": "2"}}, 1), ({"decoder": {"heads": True}}, 1),
+        ({"encoder": {"neighbor_only": 1}}, 1),
+        ({"max_nodes": 100}, 2),     # 201 decoder positions, the context holds 129
+    ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else None)
+    def test_bad_config_value_fails_before_training(self, tmp_path, capsys, change, code):
+        data, config, ckpt = (tmp_path / "d.jsonl", tmp_path / "c.json",
+                              tmp_path / "m.ckpt")
+        write_jsonl(data, gen_copy_dataset(24, 4, 3, 2, 0))
+        config.write_text(json.dumps({"task": "translate", "data": str(data), "max_steps": 2,
+                                      "out_checkpoint": str(ckpt), **change}))
+        capsys.readouterr()
+        assert run(["train", "--config", config]) == code
+        (key, value), = change.items()
+        while isinstance(value, dict):
+            (key, value), = value.items()
+        assert_one_error_line_containing(capsys, key)
+        assert not ckpt.exists()
+
     def test_usage_error_exit_one(self):
         with pytest.raises(SystemExit) as info:
             run(["train"])  # missing --config
@@ -188,6 +212,22 @@ class TestTrainEval:
         assert run(["eval", "--ckpt", ckpt, "--data", data]) == 1
         assert capsys.readouterr().err == \
             "grat: eval supports property and translation checkpoints\n"
+
+    @pytest.mark.parametrize("strip", ["props", "one-task"])
+    def test_eval_on_graphs_without_the_tasks_is_data_error(self, tmp_path, capsys, strip):
+        data, _, ckpt = property_setup(tmp_path, "plain", 0)
+        tasks = load_checkpoint(ckpt).config["tasks"]
+        records = [json.loads(line) for line in data.read_text().splitlines()]
+        if strip == "props":
+            for record in records:
+                del record["props"]
+        else:
+            del records[3]["props"][tasks[-1]]
+        write_jsonl(data, records)
+        capsys.readouterr()
+        assert run(["eval", "--ckpt", ckpt, "--data", data]) == 2
+        graph, task = (0, tasks[0]) if strip == "props" else (3, tasks[-1])
+        assert capsys.readouterr().err == f"grat: graph {graph} has no value for task {task!r}\n"
 
 
 class TestUntrainableData:

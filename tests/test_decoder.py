@@ -381,7 +381,7 @@ class TestGeneration:
                 cross_kv = dec._cross_keys_values(CFG, params, memory)
                 for i in range(k + 1):
                     label_lp, edge_lp, cache = dec._step(CFG, params, cross_kv, labels, edges,
-                                                         cache, [0], [memory.shape[0]])
+                                                         cache, [n], [memory.shape[0]])
                     assert edge_lp.shape[:2] == (len(targets), i)
                     for h, (batch, node_ref, edge_ref) in enumerate(full):
                         worst = max(worst, np.max(np.abs(label_lp[h] - node_ref[i])))

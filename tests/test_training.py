@@ -78,6 +78,8 @@ class TestConfig:
     def test_unknown_task_and_preset(self):
         with pytest.raises(ContractError):
             config_from_dict({"task": "paint"})
+        with pytest.raises(ContractError, match="names no task"):
+            config_from_dict({"data": "copy.jsonl"})
         with pytest.raises(ContractError):
             config_from_dict({"task": "translate", "preset": "galactic"})
 
