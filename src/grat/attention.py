@@ -84,7 +84,7 @@ def edge_gamma_beta(params: dict[str, Tensor], name: str, edge_matrix: np.ndarra
         raise ContractError(
             f"edge id out of range: vocabulary has {onehot.shape[0]} edge types")
     table = affine(params, f"{name}.out", ad.tanh(ad.add(onehot, params[f"{name}.b1"])))
-    raw = ad.embedding_gather(table, ids)
+    raw = table[ids]
     gammas = [ad.add(raw[..., 2 * layer], 1.0) for layer in range(n_layers)]
     betas = [raw[..., 2 * layer + 1] for layer in range(n_layers)]
     return gammas, betas
@@ -178,7 +178,7 @@ def encode_batch(cfg: EncoderConfig, params: dict[str, Tensor], graphs: list[Gra
     sizes = [g.n for g in graphs]
     labels, edges = pad_graphs(graphs)
     _, real = ad.packed_rows(sizes)
-    x = ad.embedding_gather(params[f"{prefix}.embed"], labels[real])
+    x = params[f"{prefix}.embed"][labels[real]]
     if cfg.node_feature_dim:
         feats = np.concatenate([g.node_features for g in graphs])
         x = ad.add(x, affine(params, f"{prefix}.feat", Tensor(feats)))
@@ -207,10 +207,9 @@ def encode(cfg: EncoderConfig, params: dict[str, Tensor], g: Graph, prefix: str 
     return encode_batch(cfg, params, [g], prefix)
 
 
-def readout_cls(h: Tensor, sizes: list[int] | None = None) -> Tensor:
-    """Graph-level vector: the final representation of the prepended token.
-
-    With sizes, h holds graphs of sizes[b] rows each, packed as encode_batch
-    returns them, and the result is one vector per graph, (B, d).
+def readout_cls(h: Tensor, sizes: list[int]) -> Tensor:
+    """Graph-level vectors: the final representation of each graph's
+    prepended token. h holds graphs of sizes[b] rows each, packed as
+    encode_batch returns them; the result is one row per graph, (B, d).
     """
-    return h[0] if sizes is None else h[ad.packed_rows(sizes)[0]]
+    return h[ad.packed_rows(sizes)[0]]

@@ -50,9 +50,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -170,19 +167,6 @@ def mul(a, b) -> Tensor:
     return _make(data, (a, b), bwd)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(f"matmul: incompatible shapes {a.data.shape} @ {b.data.shape}")
-    data = a.data @ b.data
-
-    def bwd(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
-
-    return _make(data, (a, b), bwd)
-
-
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for a batch of rows x (n, n_in), w (n_in, n_out), b (n_out,)."""
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
@@ -198,17 +182,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, g.sum(axis=0))
 
     return _make(data, (x, w, b), bwd)
-
-
-def transpose(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose expects a matrix, got shape {a.data.shape}")
-
-    def bwd(g):
-        _accumulate(a, g.T)
-
-    return _make(a.data.T, (a,), bwd)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -286,16 +259,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(data, tensors, bwd)
 
 
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    a = _wrap(a)
-    data = a.data.reshape(shape)
-
-    def bwd(g):
-        _accumulate(a, g.reshape(a.data.shape))
-
-    return _make(data, (a,), bwd)
-
-
 def _is_basic_index(idx) -> bool:
     """Ints, slices and Ellipsis select each element at most once."""
     parts = idx if isinstance(idx, tuple) else (idx,)
@@ -303,11 +266,19 @@ def _is_basic_index(idx) -> bool:
 
 
 def take(a: Tensor, idx) -> Tensor:
-    """Basic/fancy indexing. The backward assigns for int/slice indices and
-    scatter-adds for fancy ones (duplicates accumulate)."""
+    """a[idx], for basic (int, slice, Ellipsis) or fancy indices; an integer
+    array gathers rows, as an embedding lookup does, and every id must name
+    a row. The backward assigns for basic indices and scatter-adds for fancy
+    ones (duplicates accumulate)."""
     a = _wrap(a)
-    data = a.data[idx]
     basic = _is_basic_index(idx)
+    if basic:
+        data = a.data[idx].copy()   # a view: own the data, as the fancy result does
+    else:
+        if (type(idx) is np.ndarray and idx.dtype.kind in "iu" and idx.size
+                and (idx.min() < 0 or idx.max() >= a.data.shape[0])):
+            raise ContractError(f"take: row id out of range for {a.data.shape[0]} rows")
+        data = a.data[idx]
 
     def bwd(g):
         buf = np.zeros_like(a.data)
@@ -317,27 +288,7 @@ def take(a: Tensor, idx) -> Tensor:
             np.add.at(buf, idx, g)
         _accumulate(a, buf)
 
-    return _make(np.array(data), (a,), bwd)
-
-
-def embedding_gather(table: Tensor, ids) -> Tensor:
-    """Row lookup table[ids] for an integer id array."""
-    table = _wrap(table)
-    ids = np.asarray(ids, dtype=np.int64)
-    if table.data.ndim != 2:
-        raise DimensionError(f"embedding_gather expects a 2-d table, got {table.data.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise ContractError(
-            f"embedding_gather: id out of range for table with {table.data.shape[0]} rows"
-        )
-    data = table.data[ids]
-
-    def bwd(g):
-        buf = np.zeros_like(table.data)
-        np.add.at(buf, ids, g)
-        _accumulate(table, buf)
-
-    return _make(data, (table,), bwd)
+    return _make(data, (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +296,7 @@ def embedding_gather(table: Tensor, ids) -> Tensor:
 
 
 def _softmax(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    """softmax_rows's arithmetic; a boolean mask broadcasts against x.
+    """Softmax over the last axis; a boolean mask broadcasts against x.
 
     Masked entries become -inf, whose exp is exactly 0. A fully masked row
     has max -inf and sum 0; both are replaced so that the row comes out 0.
@@ -360,27 +311,6 @@ def _softmax(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     denom = expd.sum(axis=-1, keepdims=True)
     denom[denom == 0.0] = 1.0
     return expd / denom
-
-
-def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Row softmax over the last axis, numerically stabilized.
-
-    Masked positions get exactly 0. A fully-masked row yields an all-zero
-    row rather than NaN; callers can detect such rows with
-    ``~mask.any(axis=-1)``.
-    """
-    x = _wrap(x)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != x.data.shape[x.data.ndim - mask.ndim:]:
-            raise DimensionError(f"softmax mask shape {mask.shape} != input shape {x.data.shape}")
-    data = _softmax(x.data, mask)
-
-    def bwd(g):
-        inner = (g * data).sum(axis=-1, keepdims=True)
-        _accumulate(x, (g - inner) * data)
-
-    return _make(data, (x,), bwd)
 
 
 def packed_rows(sizes, width: int | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -17,9 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, DataError
-from .graph import (Graph, EdgeTypeVocab, NodeLabelVocab, NO_BOND, SELF,
-                    TOK_REACTANT, graph_from_edge_list, graph_to_record,
-                    graph_from_record)
+from .graph import (Graph, EdgeTypeVocab, NodeLabelVocab, NO_BOND, graph_from_edge_list,
+                    graph_to_record, graph_from_record)
 
 _EDGE_NAME_POOL = ("single", "double", "triple")
 
@@ -70,30 +69,21 @@ def _dataset_vocabs(n_labels: int, n_edge_types: int):
     return NodeLabelVocab(label_names(n_labels)), EdgeTypeVocab(edge_names(n_edge_types))
 
 
-def gen_copy_dataset(n_graphs: int, max_nodes: int, n_labels: int, n_edge_types: int,
-                     seed: int) -> list[dict]:
-    """Translation records whose target equals the source graph."""
-    if min(n_graphs, max_nodes, n_labels, n_edge_types) < 1:
-        raise ContractError("gen_copy_dataset sizes must be positive")
-    lv, ev = _dataset_vocabs(n_labels, n_edge_types)
-    rng = np.random.default_rng(seed)
-    records = []
-    for _ in range(n_graphs):
-        g = random_connected_graph(rng, max_nodes, n_labels, n_edge_types, lv, ev)
-        src = graph_to_record(g, lv, ev)
-        src["delim"] = "<REACTANT>"
-        records.append({"src": [src], "tgt": graph_to_record(g, lv, ev)})
-    return records
+def _check_generator_args(seed: int, *sizes: int):
+    """Every generator's arguments: a seed >= 0 and sizes >= 1."""
+    if seed < 0 or min(sizes) < 1:
+        raise ContractError(f"dataset generators need a seed >= 0 and sizes >= 1, "
+                            f"got seed {seed} and sizes {list(sizes)}")
 
 
-def gen_relabel_dataset(n_graphs: int, max_nodes: int, n_labels: int, n_edge_types: int,
-                        seed: int) -> list[dict]:
-    """Copy task with targets relabeled by a fixed rotation (label i -> i+1)."""
-    if min(n_graphs, max_nodes, n_labels, n_edge_types) < 1:
-        raise ContractError("gen_relabel_dataset sizes must be positive")
+def _translation_records(n_graphs: int, max_nodes: int, n_labels: int, n_edge_types: int,
+                         seed: int, shift: int) -> list[dict]:
+    """Pairs of a random source graph and its copy, each target label name
+    moved shift places along the label names (cyclically)."""
+    _check_generator_args(seed, n_graphs, max_nodes, n_labels, n_edge_types)
     lv, ev = _dataset_vocabs(n_labels, n_edge_types)
     names = label_names(n_labels)
-    rotate = {name: names[(i + 1) % n_labels] for i, name in enumerate(names)}
+    rename = {name: names[(i + shift) % n_labels] for i, name in enumerate(names)}
     rng = np.random.default_rng(seed)
     records = []
     for _ in range(n_graphs):
@@ -101,9 +91,21 @@ def gen_relabel_dataset(n_graphs: int, max_nodes: int, n_labels: int, n_edge_typ
         src = graph_to_record(g, lv, ev)
         src["delim"] = "<REACTANT>"
         tgt = graph_to_record(g, lv, ev)
-        tgt["nodes"] = [rotate[name] for name in tgt["nodes"]]
+        tgt["nodes"] = [rename[name] for name in tgt["nodes"]]
         records.append({"src": [src], "tgt": tgt})
     return records
+
+
+def gen_copy_dataset(n_graphs: int, max_nodes: int, n_labels: int, n_edge_types: int,
+                     seed: int) -> list[dict]:
+    """Translation records whose target equals the source graph."""
+    return _translation_records(n_graphs, max_nodes, n_labels, n_edge_types, seed, shift=0)
+
+
+def gen_relabel_dataset(n_graphs: int, max_nodes: int, n_labels: int, n_edge_types: int,
+                        seed: int) -> list[dict]:
+    """Copy task with targets relabeled by a fixed rotation (label i -> i+1)."""
+    return _translation_records(n_graphs, max_nodes, n_labels, n_edge_types, seed, shift=1)
 
 
 PROPERTY_WEIGHT_STEP = 0.5  # label weight table: w_i = 1 + i * step
@@ -122,8 +124,7 @@ def gen_property_dataset(n_graphs: int, seed: int, max_nodes: int = 8,
                          n_labels: int = 3, n_edge_types: int = 2) -> list[dict]:
     """Graphs with two exact targets: a per-label weight sum and the triangle
     count (one linear and one nonlinear task)."""
-    if n_graphs < 1:
-        raise ContractError("gen_property_dataset size must be positive")
+    _check_generator_args(seed, n_graphs, max_nodes, n_labels, n_edge_types)
     lv, ev = _dataset_vocabs(n_labels, n_edge_types)
     names = label_names(n_labels)
     weight_of = {lv.id(name): label_weight(i) for i, name in enumerate(names)}

@@ -267,8 +267,7 @@ def _check_encoder_sizes(encoder_h: Tensor, encoder_sizes, count: int):
 
 
 def decode_batch(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor,
-                 encoder_sizes: list[int], batches: list[DecoderBatch],
-                 input_offsets: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+                 encoder_sizes: list[int], batches: list[DecoderBatch]) -> tuple[Tensor, Tensor]:
     """One teacher-forced pass over B targets at once; returns (node_logits,
     edge_logits), graph by graph in batch order.
 
@@ -280,9 +279,7 @@ def decode_batch(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tenso
     grid, with padding masked, so a graph's logits do not depend on the
     rest of the batch. Per graph, node_logits has one row per <G> step (k+1
     rows) and edge_logits one row per pair, aligned with its
-    pair_steps/pair_nodes. input_offsets, when given, is added to the
-    embedded packed input rows (a diagnostic hook for position-targeted
-    perturbation tests).
+    pair_steps/pair_nodes.
     """
     n_graphs = len(batches)
     _check_encoder_sizes(encoder_h, encoder_sizes, n_graphs)
@@ -292,30 +289,19 @@ def decode_batch(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tenso
     tokens, edge_matrix, mask = _layout(*pad_graphs([b.target for b in batches]))
     starts, real = ad.packed_rows(lengths)
     tokens = tokens[real]
-    x = ad.embedding_gather(params["dec.embed"], tokens)
+    x = params["dec.embed"][tokens]
     x = ad.add(x, Tensor(positional_encoding(real.shape[1], cfg.width)[np.nonzero(real)[1]]))
-    if input_offsets is not None:
-        x = ad.add(x, Tensor(input_offsets))
     x, _ = _layers(cfg, params, _cross_keys_values(cfg, params, encoder_h), x,
                    edge_matrix, mask, (lengths, lengths), (lengths, encoder_sizes))
 
     gen_rows = np.flatnonzero(tokens == TOK_G)      # the <G> positions, in order
-    node_logits = affine(params, "dec.fl", ad.embedding_gather(x, gen_rows))
+    node_logits = affine(params, "dec.fl", x[gen_rows])
     # h'_i sits at position 2i, h_j at 2j+1 (1-based node j at 2j-1)
     p_rows = affine(params, "dec.fp", x)
     step_rows = np.concatenate([s + 2 * b.pair_steps for s, b in zip(starts, batches)])
     node_rows = np.concatenate([s + 2 * b.pair_nodes + 1 for s, b in zip(starts, batches)])
-    edge_logits = _edge_logits(params, ad.embedding_gather(p_rows, step_rows),
-                               ad.embedding_gather(p_rows, node_rows))
+    edge_logits = _edge_logits(params, p_rows[step_rows], p_rows[node_rows])
     return node_logits, edge_logits
-
-
-def decode_forward(cfg: DecoderConfig, params: dict[str, Tensor], encoder_h: Tensor,
-                   batch: DecoderBatch, input_offsets: np.ndarray | None = None
-                   ) -> tuple[Tensor, Tensor]:
-    """decode_batch of one target: (node_logits, edge_logits), k+1 node rows
-    and one edge row per batch pair, aligned with batch.pair_steps/pair_nodes."""
-    return decode_batch(cfg, params, encoder_h, [encoder_h.shape[0]], [batch], input_offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +380,7 @@ def _step(cfg: DecoderConfig, params: dict[str, Tensor], cross_kv: list[tuple[Te
     n_pos = len(pos)
     tokens, edge_matrix, mask = _layout(labels, edges)
     grid = (slice(None), pos[:, None], keys)
-    x = ad.embedding_gather(params["dec.embed"], tokens[:, pos].reshape(-1))
+    x = params["dec.embed"][tokens[:, pos].reshape(-1)]
     x = ad.add(x, Tensor(np.tile(positional_encoding(2 * m + 1, cfg.width)[pos], (n_hyp, 1))))
     x, projected = _layers(cfg, params, cross_kv, x, edge_matrix[grid], mask[grid],
                            ([n_pos] * n_hyp, [len(keys)] * n_hyp),

@@ -1,5 +1,5 @@
 """Graph data model: vocabularies, typed edge matrices, permutations, and the
-JSON-lines serialization format.
+JSON-lines record format.
 
 Node labels and edge types are integer ids into closed vocabularies whose
 reserved entries sit at fixed indices, so structural code (masks, special
@@ -8,13 +8,12 @@ tokens) never needs a vocabulary object.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DataError
+from .errors import ContractError, DataError, is_number
 
 # reserved edge-type ids (fixed indices 0..4)
 NO_BOND = 0
@@ -78,10 +77,6 @@ class _Vocab:
     def real_names(self) -> tuple[str, ...]:
         return self.names[len(self._reserved):]
 
-    @property
-    def real_ids(self) -> range:
-        return range(len(self._reserved), len(self.names))
-
 
 class EdgeTypeVocab(_Vocab):
     _reserved = RESERVED_EDGE_NAMES
@@ -106,18 +101,6 @@ class GraphPermutation:
 
     def __eq__(self, other):
         return isinstance(other, GraphPermutation) and other.mapping == self.mapping
-
-    def inverse(self) -> "GraphPermutation":
-        inv = [0] * len(self.mapping)
-        for i, j in enumerate(self.mapping):
-            inv[j] = i
-        return GraphPermutation(tuple(inv))
-
-    def compose(self, first: "GraphPermutation") -> "GraphPermutation":
-        """self after first: (self.compose(first))(i) == self(first(i))."""
-        if len(first) != len(self):
-            raise ContractError("cannot compose permutations of different sizes")
-        return GraphPermutation(tuple(self.mapping[first.mapping[i]] for i in range(len(self))))
 
 
 @dataclass(eq=False)
@@ -165,10 +148,6 @@ class Graph:
         if mine is not None and not np.array_equal(mine, theirs):
             return False
         return self.properties == other.properties and self.delim == other.delim
-
-
-def empty_graph() -> Graph:
-    return Graph(labels=(), edges=np.zeros((0, 0), dtype=np.int64))
 
 
 def graph_from_edge_list(labels: Sequence[int], edge_list: Iterable[tuple[int, int, int]],
@@ -323,14 +302,10 @@ def concat_graphs(parts: Sequence[tuple[int, Graph]]) -> Graph:
 # one graph per line:
 #   {"nodes":["C","N",...],"edges":[[i,j,"<edge-name>"],...],
 #    "feat":[[...],...]?,"props":{"name":float,...}?,"delim":"<REACTANT>"?}
-# i<j per entry, diagonal never listed, omitted pairs are NO_BOND.
+# i<j per entry, diagonal never listed, omitted pairs are NO_BOND; feat and
+# props hold finite numbers only.
 
 _GRAPH_KEYS = {"nodes", "edges", "feat", "props", "delim"}
-
-
-def serialize(g: Graph, label_vocab: NodeLabelVocab, edge_vocab: EdgeTypeVocab) -> str:
-    record = graph_to_record(g, label_vocab, edge_vocab)
-    return json.dumps(record, separators=(",", ":"))
 
 
 def graph_to_record(g: Graph, label_vocab: NodeLabelVocab, edge_vocab: EdgeTypeVocab) -> dict:
@@ -346,15 +321,6 @@ def graph_to_record(g: Graph, label_vocab: NodeLabelVocab, edge_vocab: EdgeTypeV
     if g.delim is not None:
         record["delim"] = label_vocab.name(g.delim)
     return record
-
-
-def parse(line: str, label_vocab: NodeLabelVocab, edge_vocab: EdgeTypeVocab,
-          lineno: int | None = None) -> Graph:
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"malformed JSON: {exc.msg}", line=lineno, offset=exc.pos) from None
-    return graph_from_record(record, label_vocab, edge_vocab, lineno=lineno)
 
 
 def graph_from_record(record, label_vocab: NodeLabelVocab, edge_vocab: EdgeTypeVocab,
@@ -408,18 +374,18 @@ def graph_from_record(record, label_vocab: NodeLabelVocab, edge_vocab: EdgeTypeV
     if "feat" in record:
         feat = record["feat"]
         if (not isinstance(feat, list) or len(feat) != n
-                or any(not isinstance(row, list) for row in feat)
+                or any(not isinstance(row, list) or not all(map(is_number, row)) for row in feat)
                 or len({len(row) for row in feat}) > 1):
-            raise DataError("'feat' must be a list of n equal-length rows", line=lineno)
+            raise DataError("'feat' must be a list of n equal-length rows of finite numbers",
+                            line=lineno)
         if n:
             node_features = np.asarray(feat, dtype=np.float64)
     properties = None
     if "props" in record:
         props = record["props"]
         if not isinstance(props, dict) or any(
-                not isinstance(k, str) or isinstance(v, bool) or not isinstance(v, (int, float))
-                for k, v in props.items()):
-            raise DataError("'props' must map names to numbers", line=lineno)
+                not isinstance(k, str) or not is_number(v) for k, v in props.items()):
+            raise DataError("'props' must map names to finite numbers", line=lineno)
         properties = {k: float(v) for k, v in props.items()}
     delim = None
     if "delim" in record:

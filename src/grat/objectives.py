@@ -202,8 +202,7 @@ def pretrain_loss(cfg: EncoderConfig, params: dict[str, Tensor],
     if pairs:
         lo, hi, classes, weights = map(np.array, zip(*pairs))
         reduced = affine(params, "rec.fp", h)
-        pair_rows = ad.concat([ad.embedding_gather(reduced, lo),
-                               ad.embedding_gather(reduced, hi)], axis=1)
+        pair_rows = ad.concat([reduced[lo], reduced[hi]], axis=1)
         logits = affine(params, "rec.fe2", ad.relu(affine(params, "rec.fe1", pair_rows)))
         loss = ad.add(loss, cross_entropy_mean(logits, classes, weights))
     if graph_targets is not None:

@@ -298,9 +298,6 @@ class PropertyModel:
         h = encode_batch(self.enc_cfg, self.params, enc_inputs)
         return property_forward(self.params, readout_cls(h, [g.n for g in enc_inputs]))
 
-    def predict(self, g: Graph) -> dict[str, float]:
-        return self.predict_batch([g])[0]
-
     def predict_batch(self, graphs: list[Graph]) -> list[dict[str, float]]:
         """Raw-unit predictions per graph, from one encoder pass per
         chunk of up to PREDICT_BATCH graphs."""

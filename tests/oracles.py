@@ -2,8 +2,11 @@
 
 Every function here recomputes expected values by a route that shares no code
 with the library: scalar loops, high-precision arithmetic, brute-force
-enumeration, or central finite differences. There are six exceptions, each
-built from the library's own elementary ops:
+enumeration, or central finite differences. The recorded ops matmul,
+transpose, reshape and softmax_rows are reference building blocks: no library
+path needs them, and they record on the library's tape (its _make and
+_accumulate) so the references below can compose them with the library's ops.
+There are six exceptions, each built from the library's own elementary ops:
   - greedy_reference and beam_reference check the cached, batched search
     against the library's uncached teacher-forced pass, one hypothesis at a
     time;
@@ -31,13 +34,77 @@ import numpy as np
 
 from grat import autodiff as ad
 from grat import decoder as dec
-from grat.autodiff import Tensor
+from grat.autodiff import Tensor, _accumulate, _make, _softmax, _wrap
 from grat.attention import encode
+from grat.errors import DimensionError
 from grat.graph import Graph, N_RESERVED_LABELS, NO_BOND, SELF, TOK_CLS, TOK_EOG, VIRTUAL, \
     prepend_token
 from grat.nn import affine
 from grat.objectives import (MetricReport, cross_entropy_mean, exact_match, l1_mean,
                              property_forward)
+
+
+# ---------------------------------------------------------------------------
+# reference building blocks: recorded ops that no library path calls
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    a, b = _wrap(a), _wrap(b)
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise DimensionError(f"matmul: incompatible shapes {a.data.shape} @ {b.data.shape}")
+    data = a.data @ b.data
+
+    def bwd(g):
+        _accumulate(a, g @ b.data.T)
+        _accumulate(b, a.data.T @ g)
+
+    return _make(data, (a, b), bwd)
+
+
+def transpose(a: Tensor) -> Tensor:
+    a = _wrap(a)
+    if a.data.ndim != 2:
+        raise DimensionError(f"transpose expects a matrix, got shape {a.data.shape}")
+
+    def bwd(g):
+        _accumulate(a, g.T)
+
+    return _make(a.data.T, (a,), bwd)
+
+
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    a = _wrap(a)
+    data = a.data.reshape(shape)
+
+    def bwd(g):
+        _accumulate(a, g.reshape(a.data.shape))
+
+    return _make(data, (a,), bwd)
+
+
+def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Row softmax over the last axis, numerically stabilized.
+
+    Masked positions get exactly 0. A fully-masked row yields an all-zero
+    row rather than NaN; callers can detect such rows with
+    ``~mask.any(axis=-1)``.
+    """
+    x = _wrap(x)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != x.data.shape[x.data.ndim - mask.ndim:]:
+            raise DimensionError(f"softmax mask shape {mask.shape} != input shape {x.data.shape}")
+    data = _softmax(x.data, mask)
+
+    def bwd(g):
+        inner = (g * data).sum(axis=-1, keepdims=True)
+        _accumulate(x, (g - inner) * data)
+
+    return _make(data, (x,), bwd)
+
+
+# ---------------------------------------------------------------------------
+# oracles
 
 
 def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -120,10 +187,10 @@ def _grow_edges(edges: np.ndarray, classes) -> np.ndarray:
 
 
 def _next_step_log_probs(cfg, params, memory, labels, edges):
-    """Uncached: decode the whole prefix with decode_forward; return the next
+    """Uncached: decode the whole prefix with decode_batch; return the next
     label's log-probs and the edge-class log-probs against nodes 1..m."""
-    node_logits, edge_logits = dec.decode_forward(
-        cfg, params, memory, dec.build_decoder_batch(Graph(labels, edges)))
+    node_logits, edge_logits = dec.decode_batch(
+        cfg, params, memory, [memory.shape[0]], [dec.build_decoder_batch(Graph(labels, edges))])
     label_lp = ad.log_softmax_rows(node_logits).data[-1]
     edge_lp = ad.log_softmax_rows(edge_logits).data[edge_logits.shape[0] - len(labels):]
     return label_lp, edge_lp
@@ -131,7 +198,7 @@ def _next_step_log_probs(cfg, params, memory, labels, edges):
 
 def greedy_reference(cfg, params, memory, max_nodes) -> dec.GeneratedGraph:
     """Uncached greedy decoding: every step re-decodes the whole prefix with
-    decode_forward, then takes the argmax label and the argmax class per
+    decode_batch, then takes the argmax label and the argmax class per
     earlier node. A step adds (score + label) + edges, as the beam does."""
     allowed = dec._allowed_labels(params["dec.embed"].shape[0])
     labels, edges, score = (), np.zeros((0, 0), dtype=np.int64), 0.0
@@ -163,7 +230,7 @@ def tuple_config_beam(rows, width):
 def beam_reference(cfg, params, memory, width, max_nodes) -> list[dec.GeneratedGraph]:
     """Uncached beam search over tuples numbered in creation order.
 
-    Each step re-decodes every live prefix with decode_forward. Each parent
+    Each step re-decodes every live prefix with decode_batch. Each parent
     creates its <EOG> candidate, then, per real label in id order, one
     candidate per tuple_config_beam configuration; the pool sorts by
     (-score up to the label, creation number) and keeps width. <EOG>
@@ -224,11 +291,11 @@ def film_attention(q: Tensor, k: Tensor, v: Tensor, gamma: Tensor | None = None,
     """One head of edge-modulated scaled dot-product attention, op by op:
     softmax((gamma * QK^T + beta) / sqrt(d_k)) V, modulation skipped when
     gamma and beta are None. Returns (output, weights)."""
-    logits = ad.matmul(q, ad.transpose(k))
+    logits = matmul(q, transpose(k))
     if gamma is not None:
         logits = ad.add(ad.mul(gamma, logits), beta)
-    weights = ad.softmax_rows(ad.mul(logits, 1.0 / math.sqrt(q.shape[1])), mask=mask)
-    return ad.matmul(weights, v), weights
+    weights = softmax_rows(ad.mul(logits, 1.0 / math.sqrt(q.shape[1])), mask=mask)
+    return matmul(weights, v), weights
 
 
 def multi_head_film_reference(q: Tensor, k: Tensor, v: Tensor, heads: int,
@@ -252,7 +319,7 @@ def attention_of_one(q: Tensor, k: Tensor, v: Tensor, heads: int,
     """ad.multi_head_attention on one sequence, called as
     multi_head_film_reference is: the (n, nk) pair arrays gain the op's
     batch axis of one, and the (1, heads, n, nk) weights lose it."""
-    gamma, beta = (None if t is None else ad.reshape(t, (1,) + t.shape) for t in (gamma, beta))
+    gamma, beta = (None if t is None else reshape(t, (1,) + t.shape) for t in (gamma, beta))
     out, weights = ad.multi_head_attention(q, k, v, heads, gamma, beta,
                                            None if mask is None else np.asarray(mask)[None],
                                            sizes=([q.shape[0]], [k.shape[0]]))
@@ -261,7 +328,7 @@ def attention_of_one(q: Tensor, k: Tensor, v: Tensor, heads: int,
 
 def affine_reference(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as two recorded ops."""
-    return ad.add(ad.matmul(x, w), b)
+    return ad.add(matmul(x, w), b)
 
 
 def add_layer_norm_reference(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor
@@ -277,12 +344,12 @@ def edge_gamma_beta_per_pair(params: dict[str, Tensor], name: str, edge_matrix: 
     output affine map run on all pairs."""
     shape = np.shape(edge_matrix)
     ids = np.asarray(edge_matrix, dtype=np.int64).reshape(-1)
-    h = ad.add(ad.embedding_gather(params[f"{name}.onehot"], ids), params[f"{name}.b1"])
+    h = ad.add(ad.take(params[f"{name}.onehot"], ids), params[f"{name}.b1"])
     raw = ad.affine(ad.tanh(h), params[f"{name}.out.w"], params[f"{name}.out.b"])
     gammas, betas = [], []
     for layer in range(n_layers):
-        gammas.append(ad.reshape(ad.add(raw[:, 2 * layer], 1.0), shape))
-        betas.append(ad.reshape(raw[:, 2 * layer + 1], shape))
+        gammas.append(reshape(ad.add(raw[:, 2 * layer], 1.0), shape))
+        betas.append(reshape(raw[:, 2 * layer + 1], shape))
     return gammas, betas
 
 
@@ -306,8 +373,8 @@ def pretrain_losses(cfg, params, sample, graph_targets=None) -> tuple[Tensor, Te
     if sample.edge_targets:
         pairs = sorted(sample.edge_targets)
         reduced = affine(params, "rec.fp", h)
-        lo = ad.embedding_gather(reduced, np.array([i + 1 for i, _ in pairs]))
-        hi = ad.embedding_gather(reduced, np.array([j + 1 for _, j in pairs]))
+        lo = ad.take(reduced, np.array([i + 1 for i, _ in pairs]))
+        hi = ad.take(reduced, np.array([j + 1 for _, j in pairs]))
         pair_logits = affine(params, "rec.fe2",
                              ad.relu(affine(params, "rec.fe1", ad.concat([lo, hi], axis=1))))
         classes = np.array([dec.edge_class_of_type(sample.edge_targets[p]) for p in pairs])

@@ -20,13 +20,15 @@ from grat import objectives as obj
 from grat import smiles as sm
 from grat.autodiff import Tensor
 from grat.checkpoint import load_checkpoint, save_checkpoint
-from grat.decoder import DecoderConfig, build_decoder_batch, decode_forward
+from grat.decoder import DecoderConfig, build_decoder_batch, decode_batch
 from grat.graph import Graph, GraphPermutation
+from grat.nn import positional_encoding
 from grat.training import (TranslationModel, config_from_dict, evaluate_property,
                            evaluate_translation, train)
 
-from oracles import (attention_of_one, finite_difference_grad, greedy_reference,
-                     multi_head_film_reference, relative_error)
+from oracles import (attention_of_one, finite_difference_grad, greedy_reference, matmul,
+                     multi_head_film_reference, relative_error, reshape, softmax_rows,
+                     transpose)
 
 FIRST_LABEL = len(gm.RESERVED_LABEL_NAMES)
 FIRST_EDGE = len(gm.RESERVED_EDGE_NAMES)
@@ -60,17 +62,17 @@ def random_source_graph(rng, n=5, n_labels=3, n_edge_types=2):
 def _mini_network(params, mask):
     """One forward touching every tensor op in the engine."""
     x, w1, b1, gain, bias, w2, table, gamma, beta = params
-    h = ad.tanh(ad.add(ad.matmul(x, w1), b1))
+    h = ad.tanh(ad.add(matmul(x, w1), b1))
     h = ad.layer_norm(h, gain, bias)
     h = ad.relu(ad.add(h, 0.3))
-    rows = ad.embedding_gather(table, np.array([0, 2, 1]))
+    rows = ad.take(table, np.array([0, 2, 1]))
     h = ad.concat([h, rows], axis=0)
-    attw = ad.softmax_rows(ad.matmul(h, ad.transpose(h)), mask=mask)
-    h = ad.mul(ad.matmul(attw, h), w2)
+    attw = softmax_rows(matmul(h, transpose(h)), mask=mask)
+    h = ad.mul(matmul(attw, h), w2)
     film, _ = attention_of_one(h, ad.tanh(h), ad.sub(h, 0.2), 2, gamma, beta, mask)
     h = ad.add(h, film)
-    top = ad.reshape(h[0:2], (2 * h.shape[1],))
-    ls = ad.log_softmax_rows(ad.matmul(h, ad.transpose(ad.sub(h, 0.1))))
+    top = reshape(h[0:2], (2 * h.shape[1],))
+    ls = ad.log_softmax_rows(matmul(h, transpose(ad.sub(h, 0.1))))
     return ad.add(ad.add(ad.mean(ad.absolute(top)), ad.sum_(ls)), ad.mean(h, axis=0)[1])
 
 
@@ -201,12 +203,13 @@ def test_criterion_3_two_path_equivalence():
             target = random_target(rng, k=int(rng.integers(0, 11)))
             memory = Tensor(rng.normal(size=(int(rng.integers(1, 8)), 64)))
             full = build_decoder_batch(target)
-            node_logits, edge_logits = decode_forward(dec_cfg, params, memory, full)
+            node_logits, edge_logits = decode_batch(dec_cfg, params, memory,
+                                                    [memory.shape[0]], [full])
             for i in range(1, target.n + 2):
                 prefix = Graph(labels=target.labels[:i - 1],
                                edges=target.edges[:i - 1, :i - 1])
-                pnode, pedge = decode_forward(dec_cfg, params, memory,
-                                              build_decoder_batch(prefix))
+                pnode, pedge = decode_batch(dec_cfg, params, memory, [memory.shape[0]],
+                                            [build_decoder_batch(prefix)])
                 worst = max(worst, float(np.max(np.abs(
                     pnode.data[-1] - node_logits.data[i - 1]))))
                 if i > 1:
@@ -216,7 +219,7 @@ def test_criterion_3_two_path_equivalence():
            f"teacher-forced vs sequential-prefix logits, max |diff| {worst:.2e} (< 1e-9)")
 
 
-def test_criterion_4_causality_isolation():
+def test_criterion_4_causality_isolation(monkeypatch):
     dec_cfg = DecoderConfig(layers=2, heads=2, width=32, ff_width=64,
                             cond_hidden=8, pair_width=16, fe_hidden=32)
     params = dec.init_decoder_params(dec_cfg, 11, 7, np.random.default_rng(4))
@@ -228,7 +231,7 @@ def test_criterion_4_causality_isolation():
         memory = Tensor(rng.normal(size=(4, 32)))
         batch = build_decoder_batch(target)
         with ad.no_grad():
-            base_n, base_e = decode_forward(dec_cfg, params, memory, batch)
+            base_n, base_e = decode_batch(dec_cfg, params, memory, [memory.shape[0]], [batch])
         if trial % 2 == 0:
             # perturb a future node's label and edges, rebuild, compare prefix
             j = int(rng.integers(1, k + 1))
@@ -242,21 +245,27 @@ def test_criterion_4_causality_isolation():
                         gm.NO_BOND if cur != gm.NO_BOND else FIRST_EDGE
             mutated = Graph(labels=tuple(labels), edges=edges)
             with ad.no_grad():
-                mut_n, mut_e = decode_forward(dec_cfg, params, memory,
-                                              build_decoder_batch(mutated))
+                mut_n, mut_e = decode_batch(dec_cfg, params, memory, [memory.shape[0]],
+                                            [build_decoder_batch(mutated)])
             past = batch.pair_steps <= j - 1
             if not (np.array_equal(base_n.data[:j], mut_n.data[:j])
                     and np.array_equal(base_e.data[past], mut_e.data[past])):
                 exact = False
                 break
         else:
-            # nudge one earlier <G> input; only that step's own logits may move
+            # nudge one earlier <G> input, through its positional encoding;
+            # only that step's own logits may move
             step = int(rng.integers(1, k + 1))
-            offsets = np.zeros((2 * batch.k + 1, dec_cfg.width))
-            offsets[2 * (step - 1)] = rng.normal(size=dec_cfg.width)
-            with ad.no_grad():
-                out_n, out_e = decode_forward(dec_cfg, params, memory, batch,
-                                              input_offsets=offsets)
+            position, offset = 2 * (step - 1), rng.normal(size=dec_cfg.width)
+
+            def nudged(length, width):
+                table = positional_encoding(length, width).copy()
+                table[position] += offset
+                return table
+
+            with monkeypatch.context() as patch, ad.no_grad():
+                patch.setattr(dec, "positional_encoding", nudged)
+                out_n, out_e = decode_batch(dec_cfg, params, memory, [memory.shape[0]], [batch])
             others = np.arange(k + 1) != step - 1
             other_pairs = batch.pair_steps != step - 1
             if not (np.array_equal(base_n.data[others], out_n.data[others])
@@ -277,13 +286,13 @@ def test_criterion_5_permutation_invariance():
         g = random_target(rng, k=int(rng.integers(3, 9)))
         with_cls = gm.prepend_token(g, gm.TOK_CLS, gm.VIRTUAL)
         with ad.no_grad():
-            base = att.readout_cls(att.encode(cfg, params, with_cls)).data
+            base = att.readout_cls(att.encode(cfg, params, with_cls), [with_cls.n]).data
         for _ in range(20):
             inner = GraphPermutation(tuple(rng.permutation(g.n)))
             full = GraphPermutation((0,) + tuple(i + 1 for i in inner.mapping))
             with ad.no_grad():
                 out = att.readout_cls(att.encode(
-                    cfg, params, gm.permute(with_cls, full))).data
+                    cfg, params, gm.permute(with_cls, full)), [with_cls.n]).data
             worst = max(worst, float(np.max(np.abs(out - base))))
     report(5, worst <= 1e-8,
            f"readout under 20 node permutations x 5 graphs, max |diff| {worst:.2e} (<= 1e-8)")
@@ -321,16 +330,18 @@ def test_criterion_10_format_round_trips(tmp_path):
     rng = np.random.default_rng(10)
     lv = gm.NodeLabelVocab(["C", "N", "O", "A", "B"])
     ev = gm.EdgeTypeVocab(["single", "double", "triple"])
-    graphs_ok = True
+    graphs = []
     for i in range(1000):
         n = int(rng.integers(1, 10))
         g = random_target(rng, k=n, n_labels=5, n_edge_types=3)
         if i % 3 == 0:
             g = Graph(labels=g.labels, edges=g.edges,
                       properties={"y": float(rng.normal())}, delim=gm.TOK_REACTANT)
-        if gm.parse(gm.serialize(g, lv, ev), lv, ev) != g:
-            graphs_ok = False
-            break
+        graphs.append(g)
+    # one JSON line per graph, written and read back as a dataset file
+    lines = tmp_path / "graphs.jsonl"
+    dt.write_jsonl(lines, [gm.graph_to_record(g, lv, ev) for g in graphs])
+    graphs_ok = dt.load_dataset(lines, vocabs=(lv, ev)).graphs == graphs
 
     ckpt_ok = True
     path = tmp_path / "roundtrip.ckpt"
@@ -367,5 +378,5 @@ def test_criterion_10_format_round_trips(tmp_path):
             smiles_ok = False
             break
     report(10, graphs_ok and ckpt_ok and smiles_ok,
-           "1000 graph serialize/parse + 1000 checkpoint round trips bit-exact; "
+           "1000 graph JSON-lines write/load + 1000 checkpoint round trips bit-exact; "
            "50-string corpus parse/write isomorphic")

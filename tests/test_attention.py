@@ -469,19 +469,22 @@ class TestReadout:
     def test_returns_first_row(self):
         rng = np.random.default_rng(15)
         h = Tensor(rng.normal(size=(5, 8)))
-        assert np.array_equal(att.readout_cls(h).data, h.data[0])
-        assert att.readout_cls(h).shape == (8,)
+        assert np.array_equal(att.readout_cls(h, [5]).data, h.data[:1])
+        assert att.readout_cls(h, [5]).shape == (1, 8)
+        # packed graphs of 2 and 3 rows: each graph's first row
+        assert np.array_equal(att.readout_cls(h, [2, 3]).data, h.data[[0, 2]])
 
     def test_cls_invariant_to_non_cls_permutations(self):
         params = make_params(seed=16)
         rng = np.random.default_rng(17)
         g = small_graph(rng, n=5)
         with_cls = gm.prepend_token(g, TOK_CLS, VIRTUAL)
-        base = att.readout_cls(att.encode(CFG, params, with_cls)).data
+        base = att.readout_cls(att.encode(CFG, params, with_cls), [with_cls.n]).data
         for _ in range(5):
             inner = GraphPermutation(tuple(rng.permutation(5)))
             full = GraphPermutation((0,) + tuple(i + 1 for i in inner.mapping))
-            out = att.readout_cls(att.encode(CFG, params, gm.permute(with_cls, full))).data
+            out = att.readout_cls(att.encode(CFG, params, gm.permute(with_cls, full)),
+                                  [with_cls.n]).data
             assert np.max(np.abs(out - base)) < 1e-8
 
 
@@ -492,9 +495,10 @@ def test_all_params_get_finite_grads_from_cls_loss():
     with_cls = gm.prepend_token(g, TOK_CLS, VIRTUAL)
 
     def loss_value():
-        return ad.sum_(ad.tanh(att.readout_cls(att.encode(CFG, params, with_cls)))).item()
+        h = att.encode(CFG, params, with_cls)
+        return ad.sum_(ad.tanh(att.readout_cls(h, [with_cls.n]))).item()
 
-    loss = ad.sum_(ad.tanh(att.readout_cls(att.encode(CFG, params, with_cls))))
+    loss = ad.sum_(ad.tanh(att.readout_cls(att.encode(CFG, params, with_cls), [with_cls.n])))
     ad.backward(loss)
     rng_pick = np.random.default_rng(20)
     for name, p in params.items():

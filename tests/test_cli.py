@@ -70,6 +70,16 @@ class TestGenData:
             lines = out.read_text().strip().splitlines()
             assert len(lines) == 5
 
+    @pytest.mark.parametrize("kind", ["copy", "relabel", "property"])
+    @pytest.mark.parametrize("flags", [["--seed", -1], ["--n-graphs", 0], ["--max-nodes", 0],
+                                       ["--n-labels", 0], ["--n-edge-types", 0]],
+                             ids=["seed", "n-graphs", "max-nodes", "n-labels", "n-edge-types"])
+    def test_bad_arguments_are_usage_errors(self, tmp_path, capsys, kind, flags):
+        out = tmp_path / "d.jsonl"
+        assert run(["gen-data", kind, "--out", out, *flags]) == 1
+        assert_one_error_line(capsys)
+        assert not out.exists()
+
     def test_seeded_identical(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         run(["gen-data", "property", "--out", a, "--seed", 9, "--n-graphs", 6])
@@ -277,6 +287,21 @@ class TestUntrainableData:
         records[2] = bad
         self.assert_refused(tmp_path, capsys, task, records, "reserved", "line 3")
 
+    @pytest.mark.parametrize("task, key", [("property", "props"), ("property", "feat"),
+                                           ("translate", "feat")],
+                             ids=["nan-prop", "string-feature", "infinite-source-feature"])
+    def test_non_finite_values_in_data(self, tmp_path, capsys, task, key):
+        records = (gen_copy_dataset(8, 4, 3, 2, 0) if task == "translate"
+                   else gen_property_dataset(8, seed=0, max_nodes=4))
+        if task == "translate":
+            graph = records[2]["src"][0]
+            graph["feat"] = [[float("inf")]] * len(graph["nodes"])
+        elif key == "props":
+            records[2]["props"]["wsum"] = float("nan")
+        else:
+            records[2]["feat"] = [["a"]] * len(records[2]["nodes"])
+        self.assert_refused(tmp_path, capsys, task, records, f"'{key}'", "line 3")
+
 
 def assert_one_error_line_containing(capsys, *fragments):
     err = capsys.readouterr().err
@@ -452,8 +477,7 @@ class TestNodeFeatures:
         loaded, _ = model_from_checkpoint(ckpt)
         assert loaded.enc_cfg.node_feature_dim == 3 and "enc.feat.w" in loaded.params
         graphs = load_dataset(data, vocabs=(model.label_vocab, model.edge_vocab)).graphs
-        for g in graphs:
-            assert loaded.predict(g) == model.predict(g)
+        assert loaded.predict_batch(graphs) == model.predict_batch(graphs)
         metrics = tmp_path / "m.json"
         assert run(["eval", "--ckpt", ckpt, "--data", data, "--metrics-out", metrics]) == 0
         expect = json.dumps(evaluate_property(model, graphs).to_dict())

@@ -14,9 +14,10 @@ from grat import decoder as dec
 from grat import graph as gm
 from grat.attention import EncoderConfig, encode, encode_batch
 from grat.autodiff import Tensor
-from grat.decoder import DecoderConfig, build_decoder_batch, decode_batch, decode_forward
+from grat.decoder import DecoderConfig, build_decoder_batch, decode_batch
 from grat.errors import CapacityError, ContractError
 from grat.graph import Graph, NO_BOND, SELF, VIRTUAL, TOK_EOG, TOK_G
+from grat.nn import positional_encoding
 from grat.training import RunConfig, TranslationModel
 from oracles import beam_reference, greedy_reference, tuple_config_beam
 
@@ -26,6 +27,7 @@ N_LABELS = 11   # 8 reserved + 3 real
 N_EDGE_TYPES = 7  # 5 reserved + 2 real
 FIRST_LABEL = len(gm.RESERVED_LABEL_NAMES)
 FIRST_EDGE = len(gm.RESERVED_EDGE_NAMES)
+EMPTY = Graph(labels=(), edges=np.zeros((0, 0)))
 
 
 def make_params(seed=0, cfg=CFG, n_labels=N_LABELS, n_edge_types=N_EDGE_TYPES):
@@ -45,6 +47,11 @@ def random_target(rng, k=None, n_labels=3, n_edge_types=2, density=0.4):
 
 def random_memory(rng, n=5, width=CFG.width):
     return Tensor(rng.normal(size=(n, width)))
+
+
+def decode_one(cfg, params, memory, batch):
+    """decode_batch of one target, whose cross-attention sees every memory row."""
+    return decode_batch(cfg, params, memory, [memory.shape[0]], [batch])
 
 
 def layout(target):
@@ -91,8 +98,8 @@ class TestEdgeClasses:
 
 class TestBatchLayout:
     def test_empty_target(self):
-        batch = build_decoder_batch(gm.empty_graph())
-        tokens, _, mask = layout(gm.empty_graph())
+        batch = build_decoder_batch(EMPTY)
+        tokens, _, mask = layout(EMPTY)
         assert list(tokens) == [TOK_G]
         assert list(batch.node_targets) == [TOK_EOG]
         assert mask.shape == (1, 1) and mask[0, 0]
@@ -170,8 +177,8 @@ class TestDecodeForward:
     def test_empty_target_shapes(self):
         params = make_params()
         rng = np.random.default_rng(3)
-        node_logits, edge_logits = decode_forward(
-            CFG, params, random_memory(rng), build_decoder_batch(gm.empty_graph()))
+        node_logits, edge_logits = decode_one(
+            CFG, params, random_memory(rng), build_decoder_batch(EMPTY))
         assert node_logits.shape == (1, N_LABELS)
         assert edge_logits.shape == (0, 3)
 
@@ -194,7 +201,7 @@ class TestDecodeForward:
         rng = np.random.default_rng(5)
         for _ in range(5):
             target = random_target(rng)
-            node_logits, edge_logits = decode_forward(
+            node_logits, edge_logits = decode_one(
                 CFG, params, random_memory(rng), build_decoder_batch(target))
             assert np.all(np.isfinite(node_logits.data))
             assert np.all(np.isfinite(edge_logits.data))
@@ -206,12 +213,11 @@ class TestDecodeForward:
             target = random_target(rng)
             memory = random_memory(rng)
             full = build_decoder_batch(target)
-            node_logits, edge_logits = decode_forward(CFG, params, memory, full)
+            node_logits, edge_logits = decode_one(CFG, params, memory, full)
             for i in range(1, target.n + 2):
                 prefix = Graph(labels=target.labels[:i - 1],
                                edges=target.edges[:i - 1, :i - 1])
-                pnode, pedge = decode_forward(CFG, params, memory,
-                                              build_decoder_batch(prefix))
+                pnode, pedge = decode_one(CFG, params, memory, build_decoder_batch(prefix))
                 assert np.max(np.abs(pnode.data[-1] - node_logits.data[i - 1])) < 1e-9
                 if i > 1:
                     full_rows = edge_logits.data[full.pair_steps == i - 1]
@@ -233,27 +239,31 @@ class TestDecodeForward:
                     new = NO_BOND if cur != NO_BOND else FIRST_EDGE
                     edges[j - 1, other] = edges[other, j - 1] = new
             mutated = Graph(labels=tuple(mutated_labels), edges=edges)
-            base_n, base_e = decode_forward(CFG, params, memory,
-                                            build_decoder_batch(target))
-            mut_n, mut_e = decode_forward(CFG, params, memory,
-                                          build_decoder_batch(mutated))
+            base_n, base_e = decode_one(CFG, params, memory, build_decoder_batch(target))
+            mut_n, mut_e = decode_one(CFG, params, memory, build_decoder_batch(mutated))
             batch = build_decoder_batch(target)
             past_steps = batch.pair_steps <= j - 1
             assert np.array_equal(base_n.data[:j], mut_n.data[:j])
             assert np.array_equal(base_e.data[past_steps], mut_e.data[past_steps])
 
-    def test_g_isolation_offsets_change_only_own_step(self):
+    def test_g_isolation_offsets_change_only_own_step(self, monkeypatch):
+        # each step's <G> input is nudged through its positional encoding
         params = make_params(seed=10)
         rng = np.random.default_rng(11)
         target = random_target(rng, k=4)
         memory = random_memory(rng)
         batch = build_decoder_batch(target)
-        base_n, base_e = decode_forward(CFG, params, memory, batch)
+        base_n, base_e = decode_one(CFG, params, memory, batch)
         for step in range(1, 5):
-            offsets = np.zeros((2 * batch.k + 1, CFG.width))
-            offsets[2 * (step - 1)] = rng.normal(size=CFG.width)
-            out_n, out_e = decode_forward(CFG, params, memory, batch,
-                                          input_offsets=offsets)
+            position, offset = 2 * (step - 1), rng.normal(size=CFG.width)
+
+            def nudged(length, width):
+                table = positional_encoding(length, width).copy()
+                table[position] += offset
+                return table
+
+            monkeypatch.setattr(dec, "positional_encoding", nudged)
+            out_n, out_e = decode_one(CFG, params, memory, batch)
             others = np.arange(5) != step - 1
             assert np.array_equal(base_n.data[others], out_n.data[others])
             other_pairs = batch.pair_steps != step - 1
@@ -265,7 +275,7 @@ def teacher_forced_score(cfg, params, memory, target) -> float:
     """Independent scorer: sum of log-softmax at the target labels/classes."""
     batch = build_decoder_batch(target)
     with ad.no_grad():
-        node_logits, edge_logits = decode_forward(cfg, params, memory, batch)
+        node_logits, edge_logits = decode_one(cfg, params, memory, batch)
     node_lp = ad.log_softmax_rows(node_logits).data
     edge_lp = ad.log_softmax_rows(edge_logits).data
     total = 0.0
@@ -357,7 +367,7 @@ class TestGeneration:
             assert cached.truncated == reference.truncated
             assert abs(cached.score - reference.score) < 1e-9
 
-    def test_step_log_probs_match_decode_forward(self):
+    def test_step_log_probs_match_decode_batch(self):
         # several prefixes of one size share each batched step, so a leak
         # across the block-diagonal key set would show as well
         params = make_params(seed=24)
@@ -370,7 +380,7 @@ class TestGeneration:
                 full = []
                 for t in targets:
                     batch = build_decoder_batch(t)
-                    node_logits, edge_logits = decode_forward(CFG, params, memory, batch)
+                    node_logits, edge_logits = decode_one(CFG, params, memory, batch)
                     full.append((batch, ad.log_softmax_rows(node_logits).data,
                                  ad.log_softmax_rows(edge_logits).data))
                 n = len(targets)
@@ -484,7 +494,7 @@ class TestGeneration:
             params = dec.init_decoder_params(CFG, n_labels, n_edge_types,
                                              np.random.default_rng(200 + seed))
             memory = random_memory(np.random.default_rng(300 + seed))
-            graphs = [gm.empty_graph()]
+            graphs = [EMPTY]
             for a in range(n_real_labels):
                 graphs.append(gm.graph_from_edge_list([FIRST_LABEL + a], []))
                 for b in range(n_real_labels):

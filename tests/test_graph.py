@@ -1,5 +1,5 @@
-"""Graph model: validation, permutation, serialization round trips, and the
-special-token prepend/concat operations."""
+"""Graph model: validation, permutation, JSON-lines record round trips and
+parse errors, and the special-token prepend/concat operations."""
 
 import json
 
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grat import graph as gm
+from grat.data import load_dataset
 from grat.errors import ContractError, DataError
 from grat.graph import (Graph, GraphPermutation, EdgeTypeVocab, NodeLabelVocab,
                         NO_BOND, VIRTUAL, SELF, MASK_EDGE,
@@ -27,13 +28,13 @@ def label_ids(vocabs):
 def random_graph(rng, vocabs, n=None, with_props=False, feature_width=0):
     lv, ev = vocabs
     n = int(rng.integers(1, 9)) if n is None else n
-    labels = rng.choice(list(lv.real_ids), size=n)
+    labels = rng.choice(list(range(gm.N_RESERVED_LABELS, len(lv))), size=n)
     edges = np.full((n, n), NO_BOND, dtype=np.int64)
     np.fill_diagonal(edges, SELF)
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < 0.4:
-                t = int(rng.choice(list(ev.real_ids)))
+                t = int(rng.choice(list(range(gm.N_RESERVED_EDGES, len(ev)))))
                 edges[i, j] = edges[j, i] = t
     props = {"y": float(rng.normal())} if with_props else None
     feats = rng.normal(size=(n, feature_width)) if feature_width else None
@@ -153,7 +154,8 @@ class TestPermute:
         rng = np.random.default_rng(1)
         g = random_graph(rng, vocabs, n=6)
         perm = GraphPermutation(tuple(rng.permutation(6)))
-        assert gm.permute(gm.permute(g, perm), perm.inverse()) == g
+        inverse = GraphPermutation(tuple(np.argsort(perm.mapping)))
+        assert gm.permute(gm.permute(g, perm), inverse) == g
 
     @pytest.mark.parametrize("feats", [None, np.arange(6.0).reshape(3, 2)])
     def test_path_relabeling_matches_bruteforce(self, vocabs, feats):
@@ -184,17 +186,26 @@ class TestPermute:
         g = random_graph(rng, vocabs, n=7)
         p1 = GraphPermutation(tuple(rng.permutation(7)))
         p2 = GraphPermutation(tuple(rng.permutation(7)))
-        assert gm.permute(gm.permute(g, p1), p2) == gm.permute(g, p2.compose(p1))
+        # p2 after p1: node i goes to p2(p1(i))
+        composed = GraphPermutation(tuple(p2.mapping[i] for i in p1.mapping))
+        assert gm.permute(gm.permute(g, p1), p2) == gm.permute(g, composed)
+
+
+def round_trip(g, lv, ev):
+    """g through one JSON line: graph_to_record, dumps, loads, graph_from_record."""
+    line = json.dumps(gm.graph_to_record(g, lv, ev), separators=(",", ":"))
+    return gm.graph_from_record(json.loads(line), lv, ev)
 
 
 class TestSerialize:
     def test_minimal_record(self, vocabs):
-        g = gm.parse('{"nodes":["C"],"edges":[],"props":{}}', *vocabs)
+        g = gm.graph_from_record(json.loads('{"nodes":["C"],"edges":[],"props":{}}'), *vocabs)
         assert g.n == 1 and g.labels == (vocabs[0].id("C"),)
         assert g.properties == {}
 
     def test_edge_entry_sets_both_directions(self, vocabs):
-        g = gm.parse('{"nodes":["C","O"],"edges":[[0,1,"double"]]}', *vocabs)
+        g = gm.graph_from_record(json.loads('{"nodes":["C","O"],"edges":[[0,1,"double"]]}'),
+                                 *vocabs)
         double = vocabs[1].id("double")
         assert g.edges[0, 1] == double and g.edges[1, 0] == double
 
@@ -202,15 +213,14 @@ class TestSerialize:
     def test_round_trip_random_graph(self, vocabs, feature_width):
         rng = np.random.default_rng(4)
         g = random_graph(rng, vocabs, n=8, with_props=True, feature_width=feature_width)
-        assert gm.parse(gm.serialize(g, *vocabs), *vocabs) == g
+        assert round_trip(g, *vocabs) == g
 
     def test_delim_round_trip(self, vocabs):
         rng = np.random.default_rng(5)
         g = random_graph(rng, vocabs, n=3)
         g2 = Graph(labels=g.labels, edges=g.edges, delim=TOK_REACTANT)
-        line = gm.serialize(g2, *vocabs)
-        assert json.loads(line)["delim"] == "<REACTANT>"
-        assert gm.parse(line, *vocabs) == g2
+        assert gm.graph_to_record(g2, *vocabs)["delim"] == "<REACTANT>"
+        assert round_trip(g2, *vocabs) == g2
 
     @pytest.mark.parametrize("line,fragment", [
         ('{"nodes":["C"],"edges":[],"bogus":1}', "unknown keys"),
@@ -222,10 +232,27 @@ class TestSerialize:
         ('{"nodes":["C"]}', "requires"),
         ('{"nodes":["C"],"edges":[],"delim":"<CLS>"}', "delim"),
         ('not json', "malformed JSON"),
+        # feat and props hold finite numbers, feat in flat rows of one length
+        ('{"nodes":["C","C"],"edges":[],"feat":[["a"],[1]]}', "'feat'"),
+        ('{"nodes":["C"],"edges":[],"feat":[[null]]}', "'feat'"),
+        ('{"nodes":["C"],"edges":[],"feat":[[NaN]]}', "'feat'"),
+        ('{"nodes":["C"],"edges":[],"feat":[[-Infinity]]}', "'feat'"),
+        ('{"nodes":["C"],"edges":[],"feat":[[true]]}', "'feat'"),
+        ('{"nodes":["C","C"],"edges":[],"feat":[[[1]],[[1]]]}', "'feat'"),
+        ('{"nodes":["C","C"],"edges":[],"feat":[[1],[1,2]]}', "'feat'"),
+        ('{"nodes":["C"],"edges":[],"props":{"p":NaN}}', "'props'"),
+        ('{"nodes":["C"],"edges":[],"props":{"p":Infinity}}', "'props'"),
+        ('{"nodes":["C"],"edges":[],"props":{"p":null}}', "'props'"),
+        ('{"nodes":["C"],"edges":[],"props":{"p":"1"}}', "'props'"),
+        ('{"nodes":["C"],"edges":[],"props":{"p":true}}', "'props'"),
     ])
-    def test_parse_errors(self, vocabs, line, fragment):
-        with pytest.raises(DataError, match=fragment):
-            gm.parse(line, *vocabs)
+    def test_parse_errors(self, vocabs, tmp_path, line, fragment):
+        # the bad record is line 2 of a dataset file, after a good one
+        path = tmp_path / "graphs.jsonl"
+        path.write_text('{"nodes":["C"],"edges":[]}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=fragment) as err:
+            load_dataset(path, vocabs)
+        assert str(err.value).endswith("(line 2)")
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -233,7 +260,7 @@ class TestSerialize:
         lv = NodeLabelVocab(["C", "N", "O"])
         ev = EdgeTypeVocab(["single", "double"])
         g = random_graph(np.random.default_rng(seed), (lv, ev), with_props=seed % 2 == 0)
-        assert gm.parse(gm.serialize(g, lv, ev), lv, ev) == g
+        assert round_trip(g, lv, ev) == g
 
 
 class TestPrepend:
@@ -248,7 +275,7 @@ class TestPrepend:
         assert gm.validate(out, *vocabs) == []
 
     def test_prepend_to_empty(self):
-        out = gm.prepend_token(gm.empty_graph(), TOK_CLS, VIRTUAL)
+        out = gm.prepend_token(Graph(labels=(), edges=np.zeros((0, 0))), TOK_CLS, VIRTUAL)
         assert out.n == 1 and out.labels == (TOK_CLS,)
         assert out.edges[0, 0] == SELF
 

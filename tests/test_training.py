@@ -22,7 +22,7 @@ from grat.attention import encode, encode_batch, readout_cls
 from grat.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from grat.data import (gen_copy_dataset, gen_property_dataset, load_dataset,
                        write_jsonl)
-from grat.decoder import build_decoder_batch, decode_batch, decode_forward
+from grat.decoder import build_decoder_batch, decode_batch
 from grat.errors import CheckpointError, ContractError, DataError, NumericError
 from grat.objectives import (cross_entropy_mean, exact_match, l1_mean, mask_graph,
                              property_forward)
@@ -219,8 +219,7 @@ class TestEvaluation:
         model, _ = train(cfg)
         loaded, _ = model_from_checkpoint(cfg.out_checkpoint)
         data = load_dataset(prop_data, vocabs=(model.label_vocab, model.edge_vocab))
-        for g in data.graphs[:5]:
-            assert model.predict(g) == loaded.predict(g)
+        assert model.predict_batch(data.graphs[:5]) == loaded.predict_batch(data.graphs[:5])
 
     @pytest.mark.parametrize("task", ["translate", "property"])
     def test_report_names_the_split_it_scored(self, task, tmp_path):
@@ -287,8 +286,7 @@ class TestCheckpointContract:
         loaded, _ = model_from_checkpoint(cfg.out_checkpoint)
         assert loaded.tasks == model.tasks
         data = load_dataset(prop_data, vocabs=(model.label_vocab, model.edge_vocab))
-        for g in data.graphs[:5]:
-            assert model.predict(g) == loaded.predict(g)
+        assert model.predict_batch(data.graphs[:5]) == loaded.predict_batch(data.graphs[:5])
 
     def test_snapshot_without_optional_keys_loads(self, prop_data, tmp_path):
         # no seed, head_hidden or max_nodes: head_hidden falls
@@ -305,8 +303,7 @@ class TestCheckpointContract:
             "encoder": dataclasses.asdict(enc_cfg),
             "tasks": ["wsum"], "mu": [1.5], "sigma": [2.0]})
         loaded, _ = model_from_checkpoint(path)
-        for g in data.graphs[:5]:
-            assert model.predict(g) == loaded.predict(g)
+        assert model.predict_batch(data.graphs[:5]) == loaded.predict_batch(data.graphs[:5])
 
     def test_snapshot_recording_beam_width_loads(self, copy_data, tmp_path):
         # older versions record beam_width, an option nothing read
@@ -343,8 +340,8 @@ class TestCheckpointContract:
         assert loaded.enc_cfg == model.enc_cfg
         dataset = load_dataset(data, vocabs=(model.label_vocab, model.edge_vocab))
         if task == "property":
-            for g in dataset.graphs[:5]:
-                assert loaded.predict(g) == model.predict(g)
+            graphs = dataset.graphs[:5]
+            assert loaded.predict_batch(graphs) == model.predict_batch(graphs)
         else:
             for srcs, _ in dataset.pairs[:3]:
                 assert [(r.graph, r.score, r.truncated) for r in loaded.generate(srcs, 2, 6)] \
@@ -442,7 +439,7 @@ def per_graph_translation_loss(model, src, batch):
     """One pair's loss composed from its parts: the node cross-entropy plus,
     when the target has edge decisions, the edge cross-entropy."""
     enc_h = encode(model.enc_cfg, model.params, src)
-    node_logits, edge_logits = decode_forward(model.dec_cfg, model.params, enc_h, batch)
+    node_logits, edge_logits = decode_batch(model.dec_cfg, model.params, enc_h, [src.n], [batch])
     loss = cross_entropy_mean(node_logits, batch.node_targets)
     pairs = len(batch.pair_target_classes)
     if pairs:
@@ -590,15 +587,15 @@ class TestBatchedPass:
         # a ragged batch embeds its real rows only, packed: no <PAD> id reaches
         # either embedding, and every embedded row gets a gradient
         embedded = []
-        gather = ad.embedding_gather
+        take = ad.take
 
         def recording(table, ids):
-            out = gather(table, ids)
+            out = take(table, ids)
             if table is model.params["enc.embed"] or table is model.params["dec.embed"]:
                 embedded.append((out, np.asarray(ids)))
             return out
 
-        monkeypatch.setattr(ad, "embedding_gather", recording)
+        monkeypatch.setattr(ad, "take", recording)
         srcs, batches = translation_pairs(model, rng, (2, 6, 3), (5, 1, 0))
         ad.backward(model.batch_loss(srcs, batches))
         assert len(embedded) == 2
@@ -619,7 +616,7 @@ class TestBatchedPass:
                                        data.label_vocab, data.edge_vocab, tasks,
                                        np.array([1.0, -2.0]), np.array([0.5, 3.0]), seed=7)
         perturb_film(model.params, 8)
-        singles = [model.predict(g) for g in graphs]
+        singles = [model.predict_batch([g])[0] for g in graphs]
         for batched, single in zip(model.predict_batch(graphs), singles):
             for task in tasks:
                 assert abs(batched[task] - single[task]) <= 1e-12
